@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	plpcrash run                                  # default campaign, all 8 schemes
+//	plpcrash run                                  # default campaign, every registered scheme
 //	plpcrash run -schemes sp,pipeline -random 256 -o report.json
 //	plpcrash repro -scheme pipeline -crash 6429 -instructions 20000
 //	plpcrash shrink -scheme pipeline -crash 6429 -instructions 20000
@@ -70,7 +70,7 @@ func run(args []string, out, errw io.Writer) int {
 }
 
 // parseSchemes resolves the -schemes flag: "all" or a comma-separated
-// subset of the 8 evaluated schemes.
+// subset of the registered schemes.
 func parseSchemes(spec string) ([]engine.Scheme, error) {
 	if spec == "" || spec == "all" {
 		return crash.AllSchemes(), nil
@@ -94,7 +94,7 @@ func cmdRun(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("plpcrash run", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		schemes = fs.String("schemes", "all", "comma-separated schemes to sweep, or 'all'")
+		schemes = fs.String("schemes", "all", "comma-separated schemes to sweep, or 'all' for every one of "+fmt.Sprint(crash.AllSchemes()))
 		bench   = fs.String("bench", "gcc", "benchmark profile driving the traces")
 		seed    = fs.Uint64("trace-seed", 0, "trace seed override (0 = profile default)")
 		instr   = fs.Uint64("instructions", 60_000, "timed instruction window per scheme")
@@ -179,7 +179,7 @@ func cmdRun(args []string, out, errw io.Writer) int {
 // caseFlags declares the repro-triple flags shared by repro and shrink.
 func caseFlags(fs *flag.FlagSet) (c *crash.Case, levels *int) {
 	c = &crash.Case{}
-	fs.StringVar((*string)(&c.Scheme), "scheme", "pipeline", "persist scheme of the triple")
+	fs.StringVar((*string)(&c.Scheme), "scheme", "pipeline", "persist scheme of the triple, one of "+fmt.Sprint(crash.AllSchemes()))
 	fs.StringVar(&c.Bench, "bench", "gcc", "benchmark profile driving the trace")
 	fs.Uint64Var(&c.TraceSeed, "trace-seed", 0, "trace seed override (0 = profile default)")
 	fs.Uint64Var(&c.Instructions, "instructions", 60_000, "timed instruction window")

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -140,31 +139,6 @@ func TestJobLifecycle(t *testing.T) {
 	if res.Sweep == nil || len(res.Sweep.Runs) != 1 || res.Sweep.Runs[0].Cycles == 0 {
 		t.Fatalf("result sweep malformed: %+v", res.Sweep)
 	}
-
-	// The legacy live view saw the run too.
-	r, err = http.Get(ts.URL + "/runs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy struct {
-		SweepDone bool        `json:"sweepDone"`
-		Runs      []runStatus `json:"runs"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if !legacy.SweepDone || len(legacy.Runs) != 1 || !legacy.Runs[0].Done {
-		t.Fatalf("legacy /runs: %+v", legacy)
-	}
-	r, err = http.Get(ts.URL + "/timeseries?scheme=pipeline&bench=gamess")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /timeseries status %d", r.StatusCode)
-	}
-	r.Body.Close()
 }
 
 // TestJobValidation maps bad specs to 400.
@@ -382,29 +356,33 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestIndexHTML checks the sparkline page still serves.
-func TestIndexHTML(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
-	r, err := http.Get(ts.URL + "/")
-	if err != nil {
-		t.Fatal(err)
+// TestLegacyViewRemoved pins that the superseded live view and expvar
+// bridge stay gone — /metrics and /jobs/{id}?telemetry=1 cover them —
+// while pprof still serves under /debug/.
+func TestLegacyViewRemoved(t *testing.T) {
+	srv := newServer(jobs.Config{Workers: 1})
+	ts := httptest.NewServer(withDebug(srv.handler()))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		_, _ = srv.svc.Drain(ctx)
+	})
+	get := func(path string) int {
+		t.Helper()
+		r, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		return r.StatusCode
 	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("index status %d", r.StatusCode)
+	for _, path := range []string{"/", "/runs", "/timeseries?scheme=pipeline&bench=gamess", "/debug/vars", "/nonesuch"} {
+		if code := get(path); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, code)
+		}
 	}
-	var buf bytes.Buffer
-	buf.ReadFrom(r.Body)
-	if !strings.Contains(buf.String(), "live telemetry") {
-		t.Fatal("index page content missing")
-	}
-	// Unknown paths 404 rather than falling through to the index.
-	r2, err := http.Get(ts.URL + "/nonesuch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path status %d", r2.StatusCode)
+	if code := get("/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("GET /debug/pprof/: status %d, want 200", code)
 	}
 }

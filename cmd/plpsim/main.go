@@ -26,9 +26,12 @@ import (
 	"plp/internal/tracefile"
 )
 
+// scheme is declared at package level so tests can read its help text,
+// which lists the scheme registry rather than a hand-kept subset.
+var scheme = flag.String("scheme", "coalescing", "persist scheme, one of "+fmt.Sprint(engine.Schemes()))
+
 func main() {
 	var (
-		scheme   = flag.String("scheme", "coalescing", "persist scheme: secure_WB, unordered, sp, pipeline, o3, coalescing, sgxtree")
 		bench    = flag.String("bench", "gamess", "benchmark profile name")
 		instr    = flag.Uint64("instr", 10_000_000, "instructions to simulate")
 		full     = flag.Bool("full", false, "persist the stack segment too (full-memory protection)")

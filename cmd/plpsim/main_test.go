@@ -119,3 +119,21 @@ func TestWriteResultJSON(t *testing.T) {
 		t.Fatalf("attribution in JSON sums to %d, cycles = %d", sum, out.Run.Cycles)
 	}
 }
+
+// The usage text must name every registered scheme: the -scheme help
+// is built from the registry, never from a hand-kept list.
+func TestUsageListsEveryScheme(t *testing.T) {
+	var buf bytes.Buffer
+	flag.CommandLine.SetOutput(&buf)
+	defer flag.CommandLine.SetOutput(nil)
+	flag.CommandLine.PrintDefaults()
+	usage := buf.String()
+	if !strings.Contains(usage, "-scheme") {
+		t.Fatalf("usage text has no -scheme flag:\n%s", usage)
+	}
+	for _, s := range engine.Schemes() {
+		if !strings.Contains(usage, string(s)) {
+			t.Errorf("usage text does not name scheme %s", s)
+		}
+	}
+}

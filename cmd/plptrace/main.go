@@ -32,7 +32,7 @@ func main() {
 		out    = flag.String("o", "trace.trc", "output file")
 		info   = flag.String("info", "", "trace file to describe")
 		events = flag.String("events", "", "benchmark to simulate with event tracing (JSONL to stdout)")
-		scheme = flag.String("scheme", "o3", "scheme for -events")
+		scheme = flag.String("scheme", "o3", "scheme for -events, one of "+fmt.Sprint(engine.Schemes()))
 		instr  = flag.Uint64("instr", 100_000, "instructions for -events")
 	)
 	flag.Parse()
@@ -117,13 +117,12 @@ func writeEvents(w io.Writer, scheme engine.Scheme, p trace.Profile, instr uint6
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	var encErr error
-	cfg := engine.Config{Scheme: scheme, Instructions: instr}
-	cfg.Trace = func(ev engine.TraceEvent) {
+	tr := engine.NewTracer(engine.TraceConfig{Mode: engine.TraceFull, Sink: func(ev engine.TraceEvent) {
 		if err := enc.Encode(ev); err != nil && encErr == nil {
 			encErr = err
 		}
-	}
-	r := engine.Run(cfg, p)
+	}})
+	r := engine.Run(engine.Config{Scheme: scheme, Instructions: instr}, p, engine.RunOptions{Observer: tr})
 	if encErr != nil {
 		return r, fmt.Errorf("encode: %w", encErr)
 	}

@@ -169,7 +169,7 @@ func runScheme(cfg CampaignConfig, scheme engine.Scheme) (SchemeReport, error) {
 		Horizon:     horizon,
 		MaxInFlight: maxInFlight(log),
 	}
-	sr.Recovery, _ = engine.RecoveryEstimate(base.config(nil, 0), sr.MaxInFlight)
+	sr.Recovery, _ = engine.RecoveryEstimate(base.config(0), sr.MaxInFlight)
 	for _, v := range verdicts {
 		if !v.OK() {
 			sr.Failures = append(sr.Failures, v)

@@ -84,12 +84,11 @@ func (c Case) Seed() uint64 {
 }
 
 // config builds the engine configuration of the case's timed run.
-func (c Case) config(log *engine.CrashLog, crashAt sim.Cycle) engine.Config {
+func (c Case) config(crashAt sim.Cycle) engine.Config {
 	return engine.Config{
 		Scheme:            c.Scheme,
 		Instructions:      c.Instructions,
 		CrashAt:           crashAt,
-		CrashLog:          log,
 		FaultEarlyRootAck: c.FaultEarlyRootAck,
 	}
 }
@@ -206,7 +205,7 @@ func runLog(c Case, crashAt sim.Cycle) (*engine.CrashLog, sim.Cycle, error) {
 		return nil, 0, err
 	}
 	var log engine.CrashLog
-	res := engine.Run(c.config(&log, crashAt), p)
+	res := engine.Run(c.config(crashAt), p, engine.RunOptions{Observer: &log})
 	return &log, res.Cycles, nil
 }
 

@@ -8,11 +8,11 @@ import (
 )
 
 // allocsForRun measures total heap allocations of one simulation.
-func allocsForRun(cfg Config, p trace.Profile) uint64 {
+func allocsForRun(cfg Config, p trace.Profile, opts ...RunOptions) uint64 {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	Run(cfg, p)
+	Run(cfg, p, opts...)
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }

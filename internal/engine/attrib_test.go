@@ -138,22 +138,22 @@ func TestTraceHookObservesPersists(t *testing.T) {
 	}
 	var persists, epochs uint64
 	cfg := Config{Scheme: SchemeO3, Instructions: testInstr}
-	cfg.Trace = func(ev TraceEvent) {
+	tr := NewTracer(TraceConfig{Mode: TraceFull, Sink: func(ev TraceEvent) {
 		switch ev.Kind {
 		case "persist":
 			persists++
 		case "epoch":
 			epochs++
 		}
-	}
-	r := Run(cfg, p)
+	}})
+	r := Run(cfg, p, RunOptions{Observer: tr})
 	if persists != r.Persists {
 		t.Fatalf("trace saw %d persists, result has %d", persists, r.Persists)
 	}
 	if epochs != r.Epochs {
 		t.Fatalf("trace saw %d epochs, result has %d", epochs, r.Epochs)
 	}
-	// And the hook costs nothing when nil: identical cycles.
+	// And the observer never perturbs timing: identical cycles.
 	base := Run(Config{Scheme: SchemeO3, Instructions: testInstr}, p)
 	if base.Cycles != r.Cycles {
 		t.Fatalf("trace hook perturbed timing: %d vs %d", r.Cycles, base.Cycles)

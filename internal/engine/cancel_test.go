@@ -8,7 +8,7 @@ import (
 	"plp/internal/trace"
 )
 
-// TestCancelHookEquivalence installs a Config.Cancel hook that never
+// TestCancelHookEquivalence installs a RunOptions.Cancel hook that never
 // fires on every scheme and requires the complete Result (histograms,
 // attribution, everything) to match the hook-free run exactly. The
 // job service threads context cancellation through this hook, so this
@@ -21,8 +21,7 @@ func TestCancelHookEquivalence(t *testing.T) {
 		cfg := Config{Scheme: s, Instructions: 60_000, Warmup: 20_000}
 		base := Run(cfg, p)
 		var polls atomic.Int64
-		cfg.Cancel = func() bool { polls.Add(1); return false }
-		hooked := Run(cfg, p)
+		hooked := Run(cfg, p, RunOptions{Cancel: func() bool { polls.Add(1); return false }})
 		if !reflect.DeepEqual(base, hooked) {
 			t.Errorf("%s: an unfired cancel hook perturbed the Result", s)
 		}
@@ -41,8 +40,7 @@ func TestCancelStopsRun(t *testing.T) {
 	for _, s := range schemes {
 		var polls int
 		cfg := Config{Scheme: s, Instructions: 10_000_000}
-		cfg.Cancel = func() bool { polls++; return true }
-		res := Run(cfg, p)
+		res := Run(cfg, p, RunOptions{Cancel: func() bool { polls++; return true }})
 		// The first poll lands cancelPollOps ops in and fires, so the
 		// run consumes ~4k of the trace's millions of ops: exactly one
 		// poll happens and only a sliver of the persists do.
@@ -63,8 +61,7 @@ func TestCancelDeterministic(t *testing.T) {
 	mk := func() Result {
 		var n int
 		cfg := Config{Scheme: SchemeCoalescing, Instructions: 10_000_000}
-		cfg.Cancel = func() bool { n++; return n > 3 }
-		return Run(cfg, p)
+		return Run(cfg, p, RunOptions{Cancel: func() bool { n++; return n > 3 }})
 	}
 	a, b := mk(), mk()
 	if !reflect.DeepEqual(a, b) {

@@ -96,18 +96,15 @@ func (ck *Checkpoint) Bytes() uint64 {
 // Resume runs cfg's measured region from the checkpoint, skipping the
 // warm-up work. cfg must agree with the checkpoint on every StageTrace
 // and StageWarmup field (see CheckpointConfigOf); anything later —
-// scheme, latencies, queue sizes, NVM timing, hooks — may differ. The
-// returned Result is bit-identical to RunSource on the same config.
-func (ck *Checkpoint) Resume(cfg Config) (Result, error) {
+// scheme, latencies, queue sizes, NVM timing — may differ, and opts
+// attach per-run hooks as for Run. The returned Result is
+// bit-identical to RunSource on the same config.
+func (ck *Checkpoint) Resume(cfg Config, opts ...RunOptions) (Result, error) {
 	cfg.fill()
 	if got := CheckpointConfigOf(cfg); got != ck.key.Cfg {
 		return Result{}, fmt.Errorf("engine: checkpoint %+v cannot resume diverged config %+v", ck.key.Cfg, got)
 	}
-	tr := newTracer(cfg.Tracing)
-	if tr != nil && cfg.Trace == nil {
-		cfg.Trace = tr.emit
-	}
-	m := newMachine(cfg)
+	m := newMachine(cfg, runOptions(opts))
 	if err := m.data.Restore(ck.data); err != nil {
 		return Result{}, fmt.Errorf("engine: resume: %w", err)
 	}
@@ -117,5 +114,5 @@ func (ck *Checkpoint) Resume(cfg Config) (Result, error) {
 	st := resumeOpStream(ck.source.CloneSource(), cfg.Instructions+cfg.Warmup,
 		m.ar.opBuf(opBatch), ck.pending, ck.consumed)
 	m.cfg.Instructions += cfg.Warmup
-	return m.measure(st, ck.bench, ck.ipc, tr), nil
+	return m.measure(st, ck.bench, ck.ipc), nil
 }

@@ -133,7 +133,7 @@ func TestCheckpointRejectsDivergedConfig(t *testing.T) {
 	}
 	mutants := map[string]Config{}
 	for name, mutate := range configMutators(t) {
-		if fieldStages[name] <= StageWarmup {
+		if warmupKeyed(name) {
 			mutants[name] = mutate(base)
 		}
 	}

@@ -28,13 +28,14 @@ type PersistRecord struct {
 	RootDone sim.Cycle  `json:"rootDone"`
 }
 
-// CrashLog collects every persist of a run (Config.CrashLog) plus
-// end-of-run occupancy snapshots of the persist-tracking hardware.
-// With Config.CrashAt set the snapshots are taken at the crash cycle;
-// otherwise at the run's final cycle. Recording is observational: it
-// never feeds back into the timing model, so results are bit-identical
-// with or without a log attached.
+// CrashLog is the Observer that collects every persist of a run plus
+// the end-of-run occupancy snapshots of the persist-tracking hardware
+// (at Config.CrashAt when set, otherwise at the run's final cycle) —
+// what internal/crash needs to reconstruct the crash-time persisted
+// state. Attach it through RunOptions.Observer.
 type CrashLog struct {
+	nopObserver
+
 	Records []PersistRecord `json:"records"`
 
 	WPQ wpq.Snapshot  `json:"wpq"`
@@ -42,31 +43,11 @@ type CrashLog struct {
 	ETT *ett.Snapshot `json:"ett,omitempty"`
 }
 
-// Reset clears the log for reuse across runs, keeping the record
-// buffer's capacity.
-func (l *CrashLog) Reset() {
-	l.Records = l.Records[:0]
-	l.WPQ = wpq.Snapshot{}
-	l.PTT = nil
-	l.ETT = nil
-}
+// Persist appends one persist to the log.
+func (l *CrashLog) Persist(r PersistRecord) { l.Records = append(l.Records, r) }
 
-// recordPersist appends one persist to the run's crash log. With no
-// log attached it is a nil check and nothing more.
-func (m *machine) recordPersist(blk addr.Block, epoch uint64, admit, done, rootDone sim.Cycle) {
-	l := m.cfg.CrashLog
-	if l == nil {
-		return
-	}
-	l.Records = append(l.Records, PersistRecord{
-		Seq:      uint64(len(l.Records)),
-		Block:    blk,
-		Epoch:    epoch,
-		Admit:    admit,
-		Done:     done,
-		RootDone: rootDone,
-	})
-}
+// Finish keeps the end-of-run occupancy snapshots.
+func (l *CrashLog) Finish(occ Occupancy) { l.WPQ, l.PTT, l.ETT = occ.WPQ, occ.PTT, occ.ETT }
 
 // crashed reports whether the core clock has passed the injected crash
 // cycle. Every persist completes no earlier than the core time at
@@ -76,25 +57,4 @@ func (m *machine) recordPersist(blk addr.Block, epoch uint64, admit, done, rootD
 // this is a single comparison per loop iteration.
 func (m *machine) crashed(coreTime float64) bool {
 	return m.cfg.CrashAt != 0 && coreTime > float64(m.cfg.CrashAt)
-}
-
-// finishCrashLog takes the end-of-run hardware occupancy snapshots.
-func (m *machine) finishCrashLog(res *Result) {
-	l := m.cfg.CrashLog
-	if l == nil {
-		return
-	}
-	at := m.cfg.CrashAt
-	if at == 0 {
-		at = res.Cycles
-	}
-	l.WPQ = m.q.SnapshotAt(at)
-	if m.pttTab != nil {
-		s := m.pttTab.SnapshotAt(at)
-		l.PTT = &s
-	}
-	if m.ettSched != nil {
-		s := m.ettSched.SnapshotAt(at)
-		l.ETT = &s
-	}
 }

@@ -6,8 +6,8 @@ package engine
 // fields at or before the stage they snapshot: a trace batch is
 // invalidated by StageTrace fields, a warm-up checkpoint by StageTrace
 // and StageWarmup fields, a full result by everything up to
-// StageMeasure. StageObservational fields never change timing (pinned
-// by the equivalence tests), so no artifact keys on them.
+// StageMeasure. Config.Arena is the one field outside the map: it is a
+// buffer pointer, not a model parameter, and every key clears it.
 type Stage int
 
 const (
@@ -17,9 +17,6 @@ const (
 	StageWarmup
 	// StageMeasure fields first matter in the measured timing loop.
 	StageMeasure
-	// StageObservational fields observe or steer a run (hooks, buffers,
-	// cancellation) without affecting its timing.
-	StageObservational
 )
 
 // String names the stage for diagnostics and table-driven tests.
@@ -31,16 +28,15 @@ func (s Stage) String() string {
 		return "warmup"
 	case StageMeasure:
 		return "measure"
-	case StageObservational:
-		return "observational"
 	}
 	return "unknown"
 }
 
-// fieldStages is the divergence map: every Config field, by name, and
-// the earliest stage it influences. A reflection test pins the map to
-// the Config struct, so adding a field without classifying it here
-// fails the build's tests rather than silently corrupting caches.
+// fieldStages is the divergence map: every Config field but Arena, by
+// name, and the earliest stage it influences. A reflection test pins
+// the map to the Config struct, so adding a field without classifying
+// it here fails the build's tests rather than silently corrupting
+// caches.
 var fieldStages = map[string]Stage{
 	// The stream prefix is (profile, seed) x instruction budget; Warmup
 	// moves the boundary between warmed and measured ops.
@@ -73,14 +69,6 @@ var fieldStages = map[string]Stage{
 	"CrashAt":            StageMeasure, // truncates the measured region
 	"FaultEarlyRootAck":  StageMeasure,
 	"NVM":                StageMeasure,
-
-	"DebugEpochs": StageObservational,
-	"Trace":       StageObservational,
-	"Tracing":     StageObservational,
-	"Arena":       StageObservational,
-	"Telemetry":   StageObservational,
-	"Cancel":      StageObservational,
-	"CrashLog":    StageObservational,
 }
 
 // FieldStages returns a copy of the divergence map (field name ->
@@ -124,7 +112,7 @@ func CheckpointConfigOf(cfg Config) CheckpointConfig {
 // CheckpointKey identifies one warm-up checkpoint: the trace identity
 // (benchmark name and seed) plus the checkpoint-relevant config
 // projection. Two runs share a checkpoint exactly when their keys are
-// equal; every StageMeasure or StageObservational knob may differ.
+// equal; every StageMeasure knob may differ.
 type CheckpointKey struct {
 	Bench string
 	Seed  uint64

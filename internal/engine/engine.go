@@ -99,7 +99,10 @@ const (
 )
 
 // Config parameterizes one simulation. Zero fields take the paper's
-// Table III defaults.
+// Table III defaults. Every field but Arena is a model parameter, and
+// Config is a comparable value: Normalized with Arena cleared is the
+// memoization key. Per-run hooks (observer, cancellation) travel
+// separately in RunOptions.
 type Config struct {
 	Scheme       Scheme
 	Instructions uint64 // run length (instructions)
@@ -147,28 +150,10 @@ type Config struct {
 	ReadVerification bool
 	// FullMemory persists stack stores too ("_full" configurations).
 	FullMemory bool
-	// DebugEpochs prints scheduling detail for the first N epochs.
-	DebugEpochs int
 	// FlushCyclesPerLine is the on-chip cost of draining one dirty
 	// line from the cache hierarchy to the WPQ at an epoch boundary
 	// (the sfence drain the core observes under epoch persistency).
 	FlushCyclesPerLine int
-
-	// Trace, when non-nil, observes structured events as the run
-	// progresses: one "persist" event per tuple persist (At =
-	// completion, Arg = data block, Arg2 = latency from WPQ admission)
-	// and one "epoch" event per epoch flush (At = completion, Arg =
-	// distinct blocks, Arg2 = latency from the drain). Nil costs
-	// nothing. Trace is the raw full-stream hook; for mode-filtered
-	// tracing (SYSTEM-ONLY / HYBRID / FULL with adaptive sampling) use
-	// Tracing instead — setting both is a validation error.
-	Trace sim.TraceFn
-
-	// Tracing is the mode-aware tracing layer (see TraceMode): a sink
-	// plus an OFF / SYSTEM-ONLY / HYBRID-n% / FULL mode, with optional
-	// adaptive shedding under an overhead budget. The zero value is
-	// off and costs exactly the nil-Trace path.
-	Tracing TraceConfig
 
 	// Arena, when non-nil, supplies the run's large reusable hot-path
 	// buffers (write-merge table, epoch membership set, precomputed
@@ -179,39 +164,14 @@ type Config struct {
 	// allocates private buffers.
 	Arena *Arena
 
-	// Telemetry, when non-nil, receives a cumulative probe at every
-	// persist/epoch boundary plus one final probe at run end, building
-	// the windowed time series (WPQ/PTT/ETT occupancy, NVM traffic,
-	// persists retired, stall-cause mix over simulated cycles). Nil
-	// disables sampling at zero cost — no probe is built, nothing
-	// allocates.
-	Telemetry *telemetry.Sampler
-
-	// Cancel, when non-nil, is a cooperative cancellation hook: the run
-	// polls it once every cancelPollOps operations and stops early when
-	// it returns true, abandoning the remainder of the trace. Polling
-	// neither reads nor writes timing state, so an installed hook that
-	// never fires leaves the run bit-identical to one without
-	// (equivalence-pinned), and nil costs one pointer check per
-	// operation. A cancelled run's partial Result is not meaningful;
-	// callers (internal/jobs, the plp facade) discard it and surface
-	// the context error instead.
-	Cancel func() bool
-
 	// CrashAt, when non-zero, injects a power loss at the given cycle:
 	// the run stops as soon as the core clock passes it, since no
 	// persist admitted afterwards can complete by the crash instant.
 	// Timing up to the stop is untouched — with CrashAt zero the
 	// engine behaves bit-identically to a build without the hook
-	// (golden-pinned). The crash-time persisted state is reconstructed
-	// from CrashLog by internal/crash.
+	// (golden-pinned). internal/crash reconstructs the crash-time
+	// persisted state from a CrashLog observer attached to the run.
 	CrashAt sim.Cycle
-	// CrashLog, when non-nil, records every persist the run schedules
-	// (program order, block, epoch, WPQ admission and completion
-	// cycles) plus end-of-run WPQ/PTT/ETT occupancy snapshots.
-	// Recording is observational and never alters timing; nil costs a
-	// nil check per persist.
-	CrashLog *CrashLog
 	// FaultEarlyRootAck is a fault-injection hook for validating the
 	// crash campaign: under the sp and pipeline schemes every 7th
 	// persist acknowledges — releases its WPQ entry and reports
@@ -228,7 +188,7 @@ type Config struct {
 }
 
 // TraceEvent re-exports the simulation kernel's event record for
-// Config.Trace consumers.
+// Tracer sinks.
 type TraceEvent = sim.TraceEvent
 
 // WithMACLatency returns cfg with an explicit MAC latency (required to
@@ -344,9 +304,10 @@ type Result struct {
 	// timing model (near zero when every stall is labelled).
 	AttribDrift float64
 
-	// Trace reports what the mode-aware tracer emitted, dropped, and
-	// shed (zero unless Config.Tracing was active). Observational only:
-	// no other Result field depends on it.
+	// Trace reports what a mode-aware Tracer emitted, dropped, and
+	// shed. The engine leaves it zero — a run's Result never depends on
+	// its observers — and the plp facade fills it from the session's
+	// Tracer.
 	Trace TraceStats
 }
 
@@ -433,16 +394,28 @@ type machine struct {
 	segs      []segMark
 	segOrigin sim.Cycle
 
-	// Telemetry probe sources: the scheme runner registers whichever
-	// tracking table it drives so sample() can read its occupancy.
-	pttTab      *ptt.Table
-	ettSched    *ett.Scheduler
-	probeStalls []float64 // reusable cumulative stall buffer
+	// Occupancy sources for probes and snapshots: the scheme runner
+	// registers whichever tracking table it drives.
+	pttTab   *ptt.Table
+	ettSched *ett.Scheduler
 
-	// Cooperative cancellation (Config.Cancel): cancelLeft counts ops
-	// down to the next poll; cancelStop latches a fired hook so the
+	// res is the Result the measured region fills.
+	res Result
+
+	// obs is the run's observer (RunOptions.Observer, nil when none).
+	// probeAt, probe and probeStalls back the boundary calls' telemetry
+	// probe: probe is built once per run, reads res and the boundary
+	// cycle, and reuses the stall buffer.
+	obs         Observer
+	probeAt     sim.Cycle
+	probe       func() telemetry.Probe
+	probeStalls []float64
+
+	// Cooperative cancellation (RunOptions.Cancel): cancelLeft counts
+	// ops down to the next poll; cancelStop latches a fired hook so the
 	// run's tail (the epoch schemes' final flush) knows the stop was a
 	// cancellation, not a completed trace.
+	cancel     func() bool
 	cancelLeft int
 	cancelStop bool
 }
@@ -461,13 +434,15 @@ func newMDC(name string, kbs, ways int) *cache.Cache {
 	})
 }
 
-func newMachine(cfg Config) *machine {
+func newMachine(cfg Config, opts RunOptions) *machine {
 	m := &machine{
-		cfg:  cfg,
-		spec: specOf(cfg.Scheme),
-		topo: bmt.MustNewTopology(cfg.BMTLevels, 8),
-		mem:  nvm.New(cfg.NVM),
-		q:    wpq.New(cfg.WPQEntries),
+		cfg:    cfg,
+		obs:    opts.Observer,
+		cancel: opts.Cancel,
+		spec:   specOf(cfg.Scheme),
+		topo:   bmt.MustNewTopology(cfg.BMTLevels, 8),
+		mem:    nvm.New(cfg.NVM),
+		q:      wpq.New(cfg.WPQEntries),
 	}
 	if m.spec != nil {
 		m.nodePersistDepth = m.spec.depth(cfg)
@@ -511,10 +486,11 @@ func newMachine(cfg Config) *machine {
 		}
 		return d
 	}
-	if cfg.Telemetry != nil {
+	if m.obs != nil {
 		m.probeStalls = make([]float64, NumComponents)
+		m.probe = m.buildProbe
 	}
-	if cfg.Cancel != nil {
+	if m.cancel != nil {
 		m.cancelLeft = cancelPollOps
 	}
 	return m
@@ -566,35 +542,6 @@ func (m *machine) epochReset() {
 	if len(m.epochOver) > 0 {
 		clear(m.epochOver)
 	}
-}
-
-// sample feeds the telemetry sampler one cumulative probe at the
-// given core cycle. With no sampler installed it is a nil check and
-// nothing more (zero allocations, asserted in tests).
-func (m *machine) sample(at sim.Cycle, res *Result) {
-	tel := m.cfg.Telemetry
-	if tel == nil {
-		return
-	}
-	for i := range m.probeStalls {
-		m.probeStalls[i] = m.att.comp[i]
-	}
-	p := telemetry.Probe{
-		At:           at,
-		WPQOccupancy: m.q.InFlightAt(at),
-		Persists:     res.Persists,
-		Epochs:       res.Epochs,
-		NVMReads:     m.mem.Reads,
-		NVMWrites:    m.mem.Writes,
-		Stalls:       m.probeStalls,
-	}
-	if m.pttTab != nil {
-		p.PTTOccupancy = m.pttTab.InFlightAt(at)
-	}
-	if m.ettSched != nil {
-		p.ETTOccupancy = m.ettSched.InFlightAt(at)
-	}
-	tel.Record(p)
 }
 
 // leafOf maps a data block to its BMT leaf label (one leaf per
@@ -675,14 +622,6 @@ func (m *machine) metaFetch(b addr.Block, ready sim.Cycle) sim.Cycle {
 		m.mem.Read(m.lay.MACLine(ab), ready)
 	}
 	return ready
-}
-
-// traceEvent emits one structured trace event when a Trace hook is
-// installed; with no hook it is a nil check and nothing more.
-func (m *machine) traceEvent(kind string, at sim.Cycle, arg, arg2 uint64) {
-	if m.cfg.Trace != nil {
-		m.cfg.Trace(sim.TraceEvent{At: at, Kind: kind, Arg: arg, Arg2: arg2})
-	}
 }
 
 // mergedWrite schedules an NVM write of the given line unless a write
@@ -797,28 +736,21 @@ func (m *machine) verifyRead(b addr.Block, at sim.Cycle) {
 	}
 }
 
-// Run simulates profile prof under cfg.
-func Run(cfg Config, prof trace.Profile) Result {
-	return RunSource(cfg, prof.Name, prof.IPC, trace.NewGenerator(prof))
+// Run simulates profile prof under cfg. The optional RunOptions attach
+// an observer and a cancellation hook.
+func Run(cfg Config, prof trace.Profile, opts ...RunOptions) Result {
+	return RunSource(cfg, prof.Name, prof.IPC, trace.NewGenerator(prof), opts...)
 }
 
 // RunSource simulates an arbitrary operation stream (a synthetic
 // generator or a recorded trace) under cfg. ipc is the baseline core
 // IPC of the traced workload.
-func RunSource(cfg Config, bench string, ipc float64, src trace.Source) Result {
+func RunSource(cfg Config, bench string, ipc float64, src trace.Source, opts ...RunOptions) Result {
 	cfg.fill()
 	if ipc <= 0 {
 		ipc = 1
 	}
-	// The mode-aware tracer installs itself as the run's Trace hook, so
-	// the emit sites stay mode-oblivious. OFF (or no sink) keeps the
-	// nil-hook path untouched; a directly-set Trace hook wins (Validate
-	// rejects configuring both).
-	tr := newTracer(cfg.Tracing)
-	if tr != nil && cfg.Trace == nil {
-		cfg.Trace = tr.emit
-	}
-	m := newMachine(cfg)
+	m := newMachine(cfg, runOptions(opts))
 
 	st := newOpStream(src, cfg.Instructions+cfg.Warmup, m.ar.opBuf(opBatch))
 	if cfg.Warmup > 0 {
@@ -826,7 +758,7 @@ func RunSource(cfg Config, bench string, ipc float64, src trace.Source) Result {
 		m.cfg.Instructions += cfg.Warmup
 	}
 
-	return m.measure(st, bench, ipc, tr)
+	return m.measure(st, bench, ipc)
 }
 
 // measure runs the machine's measured region — the scheme-specific
@@ -834,17 +766,16 @@ func RunSource(cfg Config, bench string, ipc float64, src trace.Source) Result {
 // The stream must already be past the warm-up prefix (and
 // m.cfg.Instructions raised by the warm-up's instructions), whether it
 // got there by streaming through warm() or by Checkpoint.Resume.
-func (m *machine) measure(st *opStream, bench string, ipc float64, tr *tracer) Result {
-	var res Result
+func (m *machine) measure(st *opStream, bench string, ipc float64) Result {
+	res := &m.res
 	res.Scheme = m.cfg.Scheme
 	res.Bench = bench
 
 	if m.spec == nil {
 		panic(fmt.Sprintf("engine: unknown scheme %q", m.cfg.Scheme))
 	}
-	m.spec.run(m, st, ipc, &res)
+	m.spec.run(m, st, ipc, res)
 
-	m.finishCrashLog(&res)
 	res.Instructions = m.cfg.Instructions - m.cfg.Warmup
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Instructions) / float64(res.Cycles)
@@ -858,13 +789,17 @@ func (m *machine) measure(st *opStream, bench string, ipc float64, tr *tracer) R
 	res.BMTHitRate = m.bmtCache.Stats.HitRate()
 	res.NVMReads = m.mem.Reads
 	res.NVMWrites = m.mem.Writes
-	if tr != nil {
-		res.Trace = tr.finish()
+	if m.obs != nil {
+		// The final boundary carries the run totals, so a sampler's
+		// per-window deltas sum exactly to the Result counters.
+		m.boundary(res.Cycles)
+		at := m.cfg.CrashAt
+		if at == 0 {
+			at = res.Cycles
+		}
+		m.obs.Finish(m.occupancy(at))
 	}
-	// Close the time series: the final probe carries the run totals, so
-	// the per-window deltas sum exactly to the Result counters.
-	m.sample(res.Cycles, &res)
-	return res
+	return *res
 }
 
 // mustPersist reports whether a store persists under the protection

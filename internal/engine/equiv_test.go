@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"plp/internal/telemetry"
 	"plp/internal/trace"
 )
 
@@ -60,6 +61,64 @@ func TestArenaEquivalence(t *testing.T) {
 	}
 }
 
+// TestObserverEquivalence pins the observational guarantee of the one
+// observer mechanism across every scheme: no observer, the tracer in
+// each mode, the telemetry sampler, the crash log, and all three at
+// once each leave the entire Result (cycles, persist counts,
+// histograms, attribution) equal field for field to the bare run —
+// while each observer really sees the run.
+func TestObserverEquivalence(t *testing.T) {
+	p, _ := trace.ProfileByName("gcc")
+	ar := NewArena()
+	for _, s := range AllSchemes() {
+		s := s
+		t.Run(string(s), func(t *testing.T) {
+			cfg := Config{Scheme: s, Instructions: 60_000, Arena: ar}
+			bare := Run(cfg, p)
+			var events uint64
+			sink := func(TraceEvent) { events++ }
+			var sampler *telemetry.Sampler
+			var log *CrashLog
+			// full, sampled and logged say which observers of the case
+			// must have seen the whole run.
+			cases := []struct {
+				name                  string
+				obs                   func() Observer
+				full, sampled, logged bool
+			}{
+				{"none", func() Observer { return nil }, false, false, false},
+				{"tracer-system", func() Observer { return NewTracer(TraceConfig{Mode: TraceSystemOnly, Sink: sink}) }, false, false, false},
+				{"tracer-hybrid", func() Observer { return NewTracer(TraceConfig{Mode: TraceHybrid, Sink: sink}) }, false, false, false},
+				{"tracer-full", func() Observer { return NewTracer(TraceConfig{Mode: TraceFull, Sink: sink}) }, true, false, false},
+				{"sampler", func() Observer { return Sampling(sampler) }, false, true, false},
+				{"crashlog", func() Observer { return log }, false, false, true},
+				{"all", func() Observer {
+					return Observers(NewTracer(TraceConfig{Mode: TraceFull, Sink: sink}), Sampling(sampler), log)
+				}, true, true, true},
+			}
+			for _, tc := range cases {
+				events = 0
+				sampler = telemetry.NewSampler(4096, 0, ComponentLabels())
+				log = &CrashLog{}
+				got := Run(cfg, p, RunOptions{Observer: tc.obs()})
+				if !reflect.DeepEqual(got, bare) {
+					t.Errorf("%s: the observer perturbed the Result (cycles %d vs %d)", tc.name, got.Cycles, bare.Cycles)
+				}
+				if want := bare.Persists + bare.Epochs; tc.full && events != want {
+					t.Errorf("%s: tracer delivered %d events, want %d", tc.name, events, want)
+				}
+				ser := sampler.Snapshot()
+				if n := ser.Total(func(w telemetry.Window) uint64 { return w.Persists }); tc.sampled && n != bare.Persists {
+					t.Errorf("%s: sampler saw %d persists, want %d", tc.name, n, bare.Persists)
+				}
+				if tc.logged && uint64(len(log.Records)) != bare.Persists {
+					t.Errorf("%s: crash log holds %d records, want %d", tc.name, len(log.Records), bare.Persists)
+				}
+			}
+		})
+	}
+}
+
 // TestCrashLogDeterminism pins the crash campaign's repro contract on
 // every scheme: the same (scheme, trace seed, crash cycle) triple
 // yields a byte-identical persist log across repeated runs and across
@@ -74,9 +133,7 @@ func TestCrashLogDeterminism(t *testing.T) {
 		base := Run(cfg, p)
 
 		var logged CrashLog
-		cfgL := cfg
-		cfgL.CrashLog = &logged
-		if got := Run(cfgL, p); !reflect.DeepEqual(base, got) {
+		if got := Run(cfg, p, RunOptions{Observer: &logged}); !reflect.DeepEqual(base, got) {
 			t.Errorf("%s: attaching a crash log perturbed the Result", s)
 		}
 
@@ -85,11 +142,10 @@ func TestCrashLogDeterminism(t *testing.T) {
 		logs := make([]CrashLog, 3)
 		for i := range logs {
 			c := crashed
-			c.CrashLog = &logs[i]
 			if i == 2 {
 				c.Arena = ar // arena-backed engine must not leak into the log
 			}
-			Run(c, p)
+			Run(c, p, RunOptions{Observer: &logs[i]})
 		}
 		want, err := json.Marshal(&logs[0])
 		if err != nil {

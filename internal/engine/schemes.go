@@ -24,6 +24,34 @@ func maxf(a float64, b sim.Cycle) float64 {
 	return a
 }
 
+// nextStore advances the core through the op stream to the next store
+// that must persist, charging each op's compute time and modelling the
+// loads' metadata side on the way. It reports false once the run ends:
+// the trace is exhausted, or a crash or cancellation stops it.
+func (m *machine) nextStore(st *opStream, coreTime *float64, cpi float64) (trace.Op, bool) {
+	for st.progress() < m.cfg.Instructions {
+		if m.stopNow(*coreTime) {
+			break
+		}
+		op := st.next()
+		dt := float64(op.Gap+1) * cpi
+		*coreTime += dt
+		m.att.add(CompCompute, dt)
+		if op.Kind == trace.OpLoad {
+			if m.cfg.ReadVerification {
+				m.verifyRead(op.Block, cyc(*coreTime))
+			} else {
+				m.loadAccess(op.Block)
+			}
+			continue
+		}
+		if m.cfg.mustPersist(op) {
+			return op, true
+		}
+	}
+	return trace.Op{}, false
+}
+
 // The sequential schemes drive the PTT with the machine's per-run
 // seqCost (see newMachine): each persist sets m.curPath to its update
 // path and the per-level callback applies m.levelNode — the old
@@ -55,13 +83,9 @@ func runSecureWB(m *machine, st *opStream, ipc float64, res *Result) {
 		done := tab.SequentialPersist(start, m.seqCost)
 		m.persistWrites(blk, done)
 		m.q.Occupy(done)
-		m.recordPersist(blk, 0, grant, done, done)
-		m.traceEvent("persist", done, uint64(blk), uint64(done-grant))
-		res.PersistLatency.Add(uint64(done - grant))
-		res.Persists++
 		res.Writebacks++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.persisted(res, cyc(coreTime), blk, grant, done, done)
 	}
 
 	for st.progress() < m.cfg.Instructions {
@@ -98,23 +122,10 @@ func runUnordered(m *machine, st *opStream, ipc float64, res *Result) {
 	// that issue bandwidth is the only coupling between persists.
 	issue := sim.Resource{Initiation: sim.Cycle(m.cfg.BMTLevels)}
 
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
+	for {
+		op, ok := m.nextStore(st, &coreTime, cpi)
+		if !ok {
 			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
 		}
 		m.beginPersist(cyc(coreTime))
 		grant := m.q.Admit(cyc(coreTime))
@@ -129,12 +140,8 @@ func runUnordered(m *machine, st *opStream, ipc float64, res *Result) {
 		}
 		m.persistWrites(op.Block, done)
 		m.q.Occupy(done)
-		m.recordPersist(op.Block, 0, grant, done, done)
-		m.traceEvent("persist", done, uint64(op.Block), uint64(done-grant))
-		res.PersistLatency.Add(uint64(done - grant))
-		res.Persists++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.persisted(res, cyc(coreTime), op.Block, grant, done, done)
 	}
 	res.Cycles = cyc(coreTime)
 }
@@ -166,23 +173,10 @@ func runSP(m *machine, st *opStream, ipc float64, res *Result) {
 	colocated := m.spec.colocated
 	m.levelNode = m.nodeUpdate
 
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
+	for {
+		op, ok := m.nextStore(st, &coreTime, cpi)
+		if !ok {
 			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
 		}
 		m.beginPersist(cyc(coreTime))
 		grant := m.q.Admit(cyc(coreTime))
@@ -204,12 +198,8 @@ func runSP(m *machine, st *opStream, ipc float64, res *Result) {
 		before := coreTime
 		coreTime = maxf(coreTime, ack) // strict: store blocks the core
 		m.chargeStall(before, ack)
-		m.recordPersist(op.Block, 0, grant, ack, done)
-		m.traceEvent("persist", ack, uint64(op.Block), uint64(ack-grant))
-		res.PersistLatency.Add(uint64(ack - grant))
-		res.Persists++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.persisted(res, cyc(coreTime), op.Block, grant, ack, done)
 	}
 	res.Cycles = cyc(coreTime)
 }
@@ -228,23 +218,10 @@ func runPipeline(m *machine, st *opStream, ipc float64, res *Result) {
 		m.levelNode = m.nodeWriteThrough
 	}
 
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
+	for {
+		op, ok := m.nextStore(st, &coreTime, cpi)
+		if !ok {
 			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
 		}
 		m.beginPersist(cyc(coreTime))
 		grant := m.q.Admit(cyc(coreTime))
@@ -255,7 +232,6 @@ func runPipeline(m *machine, st *opStream, ipc float64, res *Result) {
 		m.persistWrites(op.Block, done)
 		ack := m.faultAck(res.Persists, grant, done)
 		m.q.Occupy(ack)
-		m.recordPersist(op.Block, 0, grant, ack, done)
 		// Under strict persistency the store holds the front of the
 		// persist order until it enters the pipeline's leaf stage. The
 		// walk beyond leafStart is off the core's critical path, so
@@ -263,11 +239,8 @@ func runPipeline(m *machine, st *opStream, ipc float64, res *Result) {
 		before := coreTime
 		coreTime = maxf(coreTime, leafStart)
 		m.chargeStall(before, leafStart)
-		m.traceEvent("persist", ack, uint64(op.Block), uint64(ack-grant))
-		res.PersistLatency.Add(uint64(ack - grant))
-		res.Persists++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.persisted(res, cyc(coreTime), op.Block, grant, ack, done)
 	}
 	res.Cycles = cyc(coreTime)
 }
@@ -352,18 +325,14 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 			leafReady = append(leafReady, m.metaFetch(blk, grant))
 		}
 		admitted, done, perDone := sched.ScheduleEpoch(grant, leaves, cost)
-		if res.Epochs < uint64(m.cfg.DebugEpochs) {
-			println("epoch", int(res.Epochs), "n", len(blocks), "core", int(cyc(coreTime)),
-				"grant", int(grant), "admitted", int(admitted), "done", int(done))
-		}
 		for i, blk := range blocks {
 			m.persistWrites(blk, perDone[i])
 			m.q.Occupy(perDone[i])
-			m.recordPersist(blk, res.Epochs, grant, perDone[i], perDone[i])
-			m.traceEvent("persist", perDone[i], uint64(blk), uint64(perDone[i]-grant))
-			res.PersistLatency.Add(uint64(perDone[i] - grant))
+			rec := m.retire(res, blk, res.Epochs, grant, perDone[i], perDone[i])
+			if m.obs != nil {
+				m.obs.Persist(rec)
+			}
 		}
-		m.traceEvent("epoch", done, uint64(len(blocks)), uint64(done-ready))
 		// The core waits at the epoch boundary only for an ETT slot.
 		// The walk's own marks (recorded while scheduling) are not on
 		// the core path; relabel the boundary wait explicitly.
@@ -373,31 +342,20 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 		before := coreTime
 		coreTime = maxf(coreTime, admitted)
 		m.chargeStall(before, admitted)
-		res.Persists += uint64(len(blocks))
 		res.Epochs++
-		m.sample(cyc(coreTime), res)
+		if m.obs != nil {
+			m.obs.Epoch(done, len(blocks), done-ready)
+			m.boundary(cyc(coreTime))
+		}
 		blocks = blocks[:0]
 		m.epochReset()
 		storesInEpoch = 0
 	}
 
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
+	for {
+		op, ok := m.nextStore(st, &coreTime, cpi)
+		if !ok {
 			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
 		}
 		storesInEpoch++
 		if !m.epochSeen(op.Block) {
@@ -461,23 +419,10 @@ func runShadow(m *machine, st *opStream, ipc float64, res *Result) {
 	m.pttTab = tab
 	m.levelNode = m.nodeUpdate
 
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
+	for {
+		op, ok := m.nextStore(st, &coreTime, cpi)
+		if !ok {
 			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
 		}
 		m.beginPersist(cyc(coreTime))
 		grant := m.q.Admit(cyc(coreTime))
@@ -496,15 +441,11 @@ func runShadow(m *machine, st *opStream, ipc float64, res *Result) {
 		}
 		ack := m.faultAck(res.Persists, grant, done)
 		m.q.Occupy(ack)
-		m.recordPersist(op.Block, 0, grant, ack, root)
 		before := coreTime
 		coreTime = maxf(coreTime, leafStart)
 		m.chargeStall(before, leafStart)
-		m.traceEvent("persist", ack, uint64(op.Block), uint64(ack-grant))
-		res.PersistLatency.Add(uint64(ack - grant))
-		res.Persists++
 		res.BMTNodeUpdates += uint64(m.cfg.BMTLevels)
-		m.sample(cyc(coreTime), res)
+		m.persisted(res, cyc(coreTime), op.Block, grant, ack, root)
 	}
 	res.Cycles = cyc(coreTime)
 }
@@ -527,23 +468,10 @@ func runSuperMemWC(m *machine, st *opStream, ipc float64, res *Result) {
 	var lastRootDone sim.Cycle
 	haveLast := false
 
-	for st.progress() < m.cfg.Instructions {
-		if m.stopNow(coreTime) {
+	for {
+		op, ok := m.nextStore(st, &coreTime, cpi)
+		if !ok {
 			break
-		}
-		op := st.next()
-		coreTime += float64(op.Gap+1) * cpi
-		m.att.add(CompCompute, float64(op.Gap+1)*cpi)
-		if op.Kind == trace.OpLoad {
-			if m.cfg.ReadVerification {
-				m.verifyRead(op.Block, cyc(coreTime))
-			} else {
-				m.loadAccess(op.Block)
-			}
-			continue
-		}
-		if !m.cfg.mustPersist(op) {
-			continue
 		}
 		m.beginPersist(cyc(coreTime))
 		grant := m.q.Admit(cyc(coreTime))
@@ -566,14 +494,10 @@ func runSuperMemWC(m *machine, st *opStream, ipc float64, res *Result) {
 		lastLeaf, lastRootDone, haveLast = leaf, done, true
 		m.persistWrites(op.Block, done)
 		m.q.Occupy(done)
-		m.recordPersist(op.Block, 0, grant, done, done)
 		before := coreTime
 		coreTime = maxf(coreTime, leafStart)
 		m.chargeStall(before, leafStart)
-		m.traceEvent("persist", done, uint64(op.Block), uint64(done-grant))
-		res.PersistLatency.Add(uint64(done - grant))
-		res.Persists++
-		m.sample(cyc(coreTime), res)
+		m.persisted(res, cyc(coreTime), op.Block, grant, done, done)
 	}
 	res.Cycles = cyc(coreTime)
 }

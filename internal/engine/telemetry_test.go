@@ -18,8 +18,8 @@ func TestTelemetryConservation(t *testing.T) {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			sampler := telemetry.NewSampler(4096, 0, ComponentLabels())
-			cfg := Config{Scheme: s, Instructions: 200_000, Telemetry: sampler}
-			res := Run(cfg, prof)
+			cfg := Config{Scheme: s, Instructions: 200_000}
+			res := Run(cfg, prof, RunOptions{Observer: Sampling(sampler)})
 			ser := sampler.Snapshot()
 			if len(ser.Windows) == 0 {
 				t.Fatal("no telemetry windows recorded")
@@ -62,9 +62,9 @@ func TestTelemetryOccupancyBounds(t *testing.T) {
 	prof, _ := trace.ProfileByName("gcc")
 	for _, s := range []Scheme{SchemeSP, SchemePipeline, SchemeO3, SchemeCoalescing} {
 		sampler := telemetry.NewSampler(4096, 0, nil)
-		cfg := Config{Scheme: s, Instructions: 100_000, Telemetry: sampler,
+		cfg := Config{Scheme: s, Instructions: 100_000,
 			WPQEntries: 32, PTTEntries: 64, ETTSlots: 2}
-		Run(cfg, prof)
+		Run(cfg, prof, RunOptions{Observer: Sampling(sampler)})
 		for i, w := range sampler.Snapshot().Windows {
 			if w.WPQMax > 32 {
 				t.Errorf("%s window %d: WPQMax %d > capacity 32", s, i, w.WPQMax)
@@ -85,7 +85,7 @@ func TestTelemetryMinimalRun(t *testing.T) {
 	prof, _ := trace.ProfileByName("gamess")
 	for _, s := range Schemes() {
 		sampler := telemetry.NewSampler(0, 0, ComponentLabels())
-		res := Run(Config{Scheme: s, Instructions: 1, Telemetry: sampler}, prof)
+		res := Run(Config{Scheme: s, Instructions: 1}, prof, RunOptions{Observer: Sampling(sampler)})
 		ser := sampler.Snapshot()
 		if len(ser.Windows) == 0 {
 			t.Fatalf("%s: minimal run recorded no windows (final probe missing)", s)
@@ -96,18 +96,18 @@ func TestTelemetryMinimalRun(t *testing.T) {
 	}
 }
 
-// The disabled path (nil Config.Telemetry) must cost zero allocations:
-// sample() bails on the nil check before building a probe.
+// The disabled path (no observer) must cost zero allocations: a
+// persist site bails on the nil check before building a probe.
 func TestTelemetryNilHookZeroAllocs(t *testing.T) {
 	cfg := Config{Scheme: SchemeO3}
 	cfg.fill()
-	m := newMachine(cfg)
+	m := newMachine(cfg, RunOptions{})
 	var res Result
 	res.Persists = 42
 	if allocs := testing.AllocsPerRun(1000, func() {
-		m.sample(12345, &res)
+		m.persisted(&res, 12345, 7, 100, 200, 200)
 	}); allocs != 0 {
-		t.Errorf("nil-telemetry sample allocates %.1f per call, want 0", allocs)
+		t.Errorf("observer-free persist site allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestTelemetryDeterministic(t *testing.T) {
 	prof, _ := trace.ProfileByName("milc")
 	run := func() telemetry.Series {
 		sampler := telemetry.NewSampler(8192, 0, ComponentLabels())
-		Run(Config{Scheme: SchemeCoalescing, Instructions: 100_000, Telemetry: sampler}, prof)
+		Run(Config{Scheme: SchemeCoalescing, Instructions: 100_000}, prof, RunOptions{Observer: Sampling(sampler)})
 		return sampler.Snapshot()
 	}
 	a, b := run(), run()

@@ -27,7 +27,7 @@ import (
 type TraceMode string
 
 // The tracing modes. The zero value is TraceOff, so an unconfigured
-// Config traces nothing.
+// TraceConfig traces nothing.
 const (
 	TraceOff        TraceMode = ""
 	TraceSystemOnly TraceMode = "system"
@@ -43,8 +43,8 @@ const DefaultSamplePercent = 10
 // adaptive-overhead evaluations when TraceConfig.CheckEvery is 0.
 const DefaultOverheadCheckEvery = 256
 
-// TraceConfig is the mode-aware tracing layer over Config.Trace: a
-// sink plus a mode that decides which events reach it.
+// TraceConfig configures a Tracer: a sink plus a mode that decides
+// which events reach it.
 type TraceConfig struct {
 	// Mode selects the event subset ("" = off).
 	Mode TraceMode
@@ -109,11 +109,16 @@ type TraceStats struct {
 	FinalSamplePercent int
 }
 
-// tracer filters the engine's event stream per the configured mode.
-// It installs itself as the run's Config.Trace hook, so the engine's
-// emit sites stay mode-oblivious; OFF installs nothing and keeps the
-// nil-hook path byte-for-byte.
-type tracer struct {
+// Tracer is the mode-aware tracing Observer: it turns the run's
+// persist and epoch-flush events into sim.TraceEvents — "persist" (At
+// = acknowledgement, Arg = data block, Arg2 = latency from WPQ
+// admission) and "epoch" (At = completion, Arg = distinct blocks, Arg2
+// = latency from the drain) — and delivers the subset its mode
+// selects to the sink. FULL delivers the raw event stream. A Tracer
+// serves one run at a time.
+type Tracer struct {
+	nopObserver
+
 	mode TraceMode
 	sink sim.TraceFn
 
@@ -133,13 +138,15 @@ type tracer struct {
 	stats TraceStats
 }
 
-// newTracer builds the run's tracer, or nil when cfg traces nothing
-// (OFF, or no sink) — the nil case costs the caller nothing.
-func newTracer(tc TraceConfig) *tracer {
+// NewTracer builds a tracer for tc, or nil when tc traces nothing
+// (OFF, or no sink): attach nothing then, and the run keeps the exact
+// no-observer path. Callers must not store the nil *Tracer in an
+// Observer interface.
+func NewTracer(tc TraceConfig) *Tracer {
 	if tc.Mode == TraceOff || tc.Sink == nil {
 		return nil
 	}
-	t := &tracer{mode: tc.Mode, sink: tc.Sink}
+	t := &Tracer{mode: tc.Mode, sink: tc.Sink}
 	if tc.Mode == TraceHybrid {
 		t.rate = tc.SamplePercent
 		if t.rate == 0 {
@@ -162,8 +169,18 @@ func newTracer(tc TraceConfig) *tracer {
 	return t
 }
 
-// emit is the run's Config.Trace hook.
-func (t *tracer) emit(ev sim.TraceEvent) {
+// Persist traces one persist event.
+func (t *Tracer) Persist(r PersistRecord) {
+	t.emit(sim.TraceEvent{At: r.Done, Kind: "persist", Arg: uint64(r.Block), Arg2: uint64(r.Done - r.Admit)})
+}
+
+// Epoch traces one epoch-flush event.
+func (t *Tracer) Epoch(done sim.Cycle, blocks int, latency sim.Cycle) {
+	t.emit(sim.TraceEvent{At: done, Kind: "epoch", Arg: uint64(blocks), Arg2: uint64(latency)})
+}
+
+// emit filters one event per the mode and delivers it.
+func (t *Tracer) emit(ev sim.TraceEvent) {
 	if ev.Kind == "persist" {
 		switch t.mode {
 		case TraceSystemOnly:
@@ -194,7 +211,7 @@ func (t *tracer) emit(ev sim.TraceEvent) {
 
 // checkOverhead evaluates the sink-time fraction over the window just
 // finished and halves the sampling rate while over budget.
-func (t *tracer) checkOverhead() {
+func (t *Tracer) checkOverhead() {
 	now := t.clock()
 	if wall := now - t.windowStart; wall > 0 &&
 		float64(t.sinkNS)/float64(wall) > t.budget && t.rate > 0 {
@@ -206,16 +223,15 @@ func (t *tracer) checkOverhead() {
 	t.windowStart = now
 }
 
-// finish closes the run's stats.
-func (t *tracer) finish() TraceStats {
+// Stats reports what the tracer emitted, dropped and shed so far; the
+// plp facade copies it into SimResult.Trace after a traced run.
+func (t *Tracer) Stats() TraceStats {
 	st := t.stats
-	if t.mode == TraceHybrid {
+	switch t.mode {
+	case TraceHybrid:
 		st.FinalSamplePercent = t.rate
-	} else if t.mode == TraceFull || t.mode == TraceSystemOnly {
+	case TraceFull:
 		st.FinalSamplePercent = 100
-		if t.mode == TraceSystemOnly {
-			st.FinalSamplePercent = 0
-		}
 	}
 	return st
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"testing"
 
 	"plp/internal/sim"
@@ -27,7 +26,16 @@ func (c *countingSink) fn(ev sim.TraceEvent) {
 
 func (c *countingSink) total() uint64 { return c.persists + c.epochs + c.other }
 
-func runTraced(t *testing.T, scheme Scheme, tc TraceConfig) (Result, *countingSink) {
+// tracerOpts attaches tr, keeping a nil tracer out of the Observer
+// interface.
+func tracerOpts(tr *Tracer) RunOptions {
+	if tr == nil {
+		return RunOptions{}
+	}
+	return RunOptions{Observer: tr}
+}
+
+func runTraced(t *testing.T, scheme Scheme, tc TraceConfig) (Result, TraceStats, *countingSink) {
 	t.Helper()
 	p, ok := trace.ProfileByName("gcc")
 	if !ok {
@@ -37,8 +45,13 @@ func runTraced(t *testing.T, scheme Scheme, tc TraceConfig) (Result, *countingSi
 	if tc.Mode != TraceOff {
 		tc.Sink = sink.fn
 	}
-	cfg := Config{Scheme: scheme, Instructions: 150_000, Tracing: tc}
-	return Run(cfg, p), sink
+	tr := NewTracer(tc)
+	res := Run(Config{Scheme: scheme, Instructions: 150_000}, p, tracerOpts(tr))
+	var st TraceStats
+	if tr != nil {
+		st = tr.Stats()
+	}
+	return res, st, sink
 }
 
 // TestTracingModeSwitching runs the same workload under each mode on
@@ -48,13 +61,13 @@ func runTraced(t *testing.T, scheme Scheme, tc TraceConfig) (Result, *countingSi
 func TestTracingModeSwitching(t *testing.T) {
 	scheme := SchemeCoalescing // emits both persist and epoch events
 
-	off, offSink := runTraced(t, scheme, TraceConfig{Mode: TraceOff})
-	system, sysSink := runTraced(t, scheme, TraceConfig{Mode: TraceSystemOnly})
-	hybrid, hybSink := runTraced(t, scheme, TraceConfig{Mode: TraceHybrid, SamplePercent: 10})
-	full, fullSink := runTraced(t, scheme, TraceConfig{Mode: TraceFull})
+	off, offStats, offSink := runTraced(t, scheme, TraceConfig{Mode: TraceOff})
+	system, sysStats, sysSink := runTraced(t, scheme, TraceConfig{Mode: TraceSystemOnly})
+	hybrid, hybStats, hybSink := runTraced(t, scheme, TraceConfig{Mode: TraceHybrid, SamplePercent: 10})
+	full, _, fullSink := runTraced(t, scheme, TraceConfig{Mode: TraceFull})
 
-	if offSink.total() != 0 || off.Trace != (TraceStats{}) {
-		t.Fatalf("OFF emitted %d events, stats %+v", offSink.total(), off.Trace)
+	if offSink.total() != 0 || offStats != (TraceStats{}) {
+		t.Fatalf("OFF emitted %d events, stats %+v", offSink.total(), offStats)
 	}
 	if sysSink.persists != 0 || sysSink.epochs == 0 {
 		t.Fatalf("SYSTEM-ONLY: %d persist, %d epoch events", sysSink.persists, sysSink.epochs)
@@ -71,42 +84,18 @@ func TestTracingModeSwitching(t *testing.T) {
 	if hybSink.epochs != fullSink.epochs {
 		t.Fatalf("HYBRID dropped epoch events: %d vs %d", hybSink.epochs, fullSink.epochs)
 	}
-	if hybrid.Trace.Dropped == 0 || hybrid.Trace.Emitted != hybSink.total() {
-		t.Fatalf("HYBRID stats inconsistent: %+v vs sink %d", hybrid.Trace, hybSink.total())
+	if hybStats.Dropped == 0 || hybStats.Emitted != hybSink.total() {
+		t.Fatalf("HYBRID stats inconsistent: %+v vs sink %d", hybStats, hybSink.total())
 	}
-	if system.Trace.FinalSamplePercent != 0 || hybrid.Trace.FinalSamplePercent != 10 {
+	if sysStats.FinalSamplePercent != 0 || hybStats.FinalSamplePercent != 10 {
 		t.Fatalf("FinalSamplePercent: system %d, hybrid %d",
-			system.Trace.FinalSamplePercent, hybrid.Trace.FinalSamplePercent)
+			sysStats.FinalSamplePercent, hybStats.FinalSamplePercent)
 	}
 
 	for name, r := range map[string]Result{"system": system, "hybrid": hybrid, "full": full} {
 		if r.Cycles != off.Cycles {
 			t.Errorf("%s mode moved cycles: %d vs %d", name, r.Cycles, off.Cycles)
 		}
-	}
-}
-
-// TestTracingCycleEquivalence pins the observational guarantee across
-// every scheme: all four modes leave the entire Result (cycles,
-// persist counts, histograms, attribution) bit-identical to a run
-// with no tracing configured.
-func TestTracingCycleEquivalence(t *testing.T) {
-	p, _ := trace.ProfileByName("gcc")
-	for _, s := range AllSchemes() {
-		s := s
-		t.Run(string(s), func(t *testing.T) {
-			base := Run(Config{Scheme: s, Instructions: 100_000}, p)
-			for _, mode := range []TraceMode{TraceSystemOnly, TraceHybrid, TraceFull} {
-				sink := &countingSink{}
-				got := Run(Config{Scheme: s, Instructions: 100_000,
-					Tracing: TraceConfig{Mode: mode, Sink: sink.fn}}, p)
-				got.Trace = TraceStats{} // the only field tracing may touch
-				if !reflect.DeepEqual(got, base) {
-					t.Errorf("mode %q perturbed the result (cycles %d vs %d)",
-						mode, got.Cycles, base.Cycles)
-				}
-			}
-		})
 	}
 }
 
@@ -118,28 +107,30 @@ func TestAdaptiveShedUnderLoad(t *testing.T) {
 	var now int64
 	clock := func() int64 { now += 1_000_000; return now } // 1ms per reading
 
-	base, _ := runTraced(t, SchemeCoalescing, TraceConfig{Mode: TraceOff})
+	base, _, _ := runTraced(t, SchemeCoalescing, TraceConfig{Mode: TraceOff})
 	sink := &countingSink{}
 	p, _ := trace.ProfileByName("gcc")
-	res := Run(Config{Scheme: SchemeCoalescing, Instructions: 150_000, Tracing: TraceConfig{
+	tr := NewTracer(TraceConfig{
 		Mode:           TraceHybrid,
 		SamplePercent:  100, // start at FULL-density persists
 		OverheadBudget: 0.05,
 		CheckEvery:     16,
 		Sink:           sink.fn,
 		Clock:          clock,
-	}}, p)
+	})
+	res := Run(Config{Scheme: SchemeCoalescing, Instructions: 150_000}, p, RunOptions{Observer: tr})
+	st := tr.Stats()
 
-	if res.Trace.Sheds == 0 {
-		t.Fatalf("over-budget tracer never shed: %+v", res.Trace)
+	if st.Sheds == 0 {
+		t.Fatalf("over-budget tracer never shed: %+v", st)
 	}
-	if res.Trace.FinalSamplePercent != 0 {
+	if st.FinalSamplePercent != 0 {
 		t.Fatalf("rate should shed to 0 (SYSTEM-ONLY), ended at %d%% after %d sheds",
-			res.Trace.FinalSamplePercent, res.Trace.Sheds)
+			st.FinalSamplePercent, st.Sheds)
 	}
 	// 100 -> 50 -> 25 -> 12 -> 6 -> 3 -> 1 -> 0: seven halvings.
-	if res.Trace.Sheds != 7 {
-		t.Errorf("sheds = %d, want 7 (halving from 100%% to 0)", res.Trace.Sheds)
+	if st.Sheds != 7 {
+		t.Errorf("sheds = %d, want 7 (halving from 100%% to 0)", st.Sheds)
 	}
 	if sink.persists >= res.Persists {
 		t.Errorf("shedding never reduced persist events: %d of %d", sink.persists, res.Persists)
@@ -154,29 +145,28 @@ func TestAdaptiveShedUnderLoad(t *testing.T) {
 
 // TestTraceConfigValidate covers the tracing validation surface.
 func TestTraceConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Tracing: TraceConfig{Mode: "verbose"}},
-		{Tracing: TraceConfig{Mode: TraceHybrid, SamplePercent: 101}},
-		{Tracing: TraceConfig{Mode: TraceHybrid, SamplePercent: -1}},
-		{Tracing: TraceConfig{Mode: TraceHybrid, OverheadBudget: 1.5}},
-		{Tracing: TraceConfig{Mode: TraceHybrid, CheckEvery: -2}},
-		{Trace: func(sim.TraceEvent) {}, Tracing: TraceConfig{Mode: TraceFull, Sink: func(sim.TraceEvent) {}}},
+	bad := []TraceConfig{
+		{Mode: "verbose"},
+		{Mode: TraceHybrid, SamplePercent: 101},
+		{Mode: TraceHybrid, SamplePercent: -1},
+		{Mode: TraceHybrid, OverheadBudget: 1.5},
+		{Mode: TraceHybrid, CheckEvery: -2},
 	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+	for i, tc := range bad {
+		if err := tc.Validate(); err == nil {
 			t.Errorf("config %d validated clean", i)
 		}
 	}
-	ok := Config{Tracing: TraceConfig{Mode: TraceHybrid, SamplePercent: 50, OverheadBudget: 0.1, Sink: func(sim.TraceEvent) {}}}
+	ok := TraceConfig{Mode: TraceHybrid, SamplePercent: 50, OverheadBudget: 0.1, Sink: func(sim.TraceEvent) {}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid tracing config rejected: %v", err)
 	}
 }
 
 // TestTracingOffZeroAlloc extends the delta-method steady-state test
-// to the tracing layer: a Config whose Tracing mode is OFF (even with
-// a sink wired) must allocate exactly what an untraced run allocates —
-// the OFF path installs no hook and builds no tracer.
+// to the tracing layer: a TraceConfig whose mode is OFF (even with a
+// sink wired) builds no tracer, so the run allocates exactly what an
+// untraced run allocates.
 func TestTracingOffZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting run is slow")
@@ -186,10 +176,14 @@ func TestTracingOffZeroAlloc(t *testing.T) {
 	const short, long = 300_000, 1_500_000
 	const tolerance = 200
 	ar := NewArena()
-	off := TraceConfig{Mode: TraceOff, Sink: sink.fn}
-	Run(Config{Scheme: SchemeCoalescing, Instructions: 50_000, Arena: ar, Tracing: off}, p)
-	base := allocsForRun(Config{Scheme: SchemeCoalescing, Instructions: short, Arena: ar, Tracing: off}, p)
-	grown := allocsForRun(Config{Scheme: SchemeCoalescing, Instructions: long, Arena: ar, Tracing: off}, p)
+	tr := NewTracer(TraceConfig{Mode: TraceOff, Sink: sink.fn})
+	if tr != nil {
+		t.Fatal("OFF mode built a tracer")
+	}
+	opts := tracerOpts(tr)
+	Run(Config{Scheme: SchemeCoalescing, Instructions: 50_000, Arena: ar}, p, opts)
+	base := allocsForRun(Config{Scheme: SchemeCoalescing, Instructions: short, Arena: ar}, p, opts)
+	grown := allocsForRun(Config{Scheme: SchemeCoalescing, Instructions: long, Arena: ar}, p, opts)
 	if grown > base+tolerance {
 		t.Errorf("OFF tracing leaks allocations: %d instructions allocated %d, %d allocated %d",
 			short, base, long, grown)
@@ -200,15 +194,12 @@ func TestTracingOffZeroAlloc(t *testing.T) {
 }
 
 // benchMachine builds a minimal machine for per-event benchmarks (a
-// shallow tree keeps setup small; only the trace path is measured).
+// shallow tree keeps setup small; only the persist site is measured).
 func benchMachine(b *testing.B, tc TraceConfig) *machine {
 	b.Helper()
-	cfg := Config{Scheme: SchemeCoalescing, BMTLevels: 3, Tracing: tc}
+	cfg := Config{Scheme: SchemeCoalescing, BMTLevels: 3}
 	cfg.fill()
-	if tr := newTracer(cfg.Tracing); tr != nil {
-		cfg.Trace = tr.emit
-	}
-	return newMachine(cfg)
+	return newMachine(cfg, tracerOpts(NewTracer(tc)))
 }
 
 // BenchmarkTracingOff is the overhead budget for OFF: the per-event
@@ -216,10 +207,11 @@ func benchMachine(b *testing.B, tc TraceConfig) *machine {
 // tracing-overhead step asserts this).
 func BenchmarkTracingOff(b *testing.B) {
 	m := benchMachine(b, TraceConfig{})
+	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.traceEvent("persist", sim.Cycle(i), uint64(i), 1)
+		m.persisted(&res, sim.Cycle(i), 7, sim.Cycle(i), sim.Cycle(i)+1, sim.Cycle(i)+1)
 	}
 }
 
@@ -240,10 +232,11 @@ func BenchmarkTracingModes(b *testing.B) {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			m := benchMachine(b, tc.cfg)
+			var res Result
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.traceEvent("persist", sim.Cycle(i), uint64(i), 1)
+				m.persisted(&res, sim.Cycle(i), 7, sim.Cycle(i), sim.Cycle(i)+1, sim.Cycle(i)+1)
 			}
 		})
 	}

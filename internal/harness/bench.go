@@ -45,7 +45,7 @@ func Record(o RecordOptions) []registry.Run {
 
 // RecordContext is Record with cooperative cancellation: ctx gates the
 // fan-out dispatch (no new run starts once ctx is done) and, for a
-// cancellable context, threads into every engine run via Config.Cancel
+// cancellable context, threads into every engine run via RunOptions.Cancel
 // so even a multi-second run stops within microseconds of ctx firing.
 // It returns the runs that completed before cancellation — runs cut
 // short mid-flight are discarded, never reported — together with
@@ -126,7 +126,7 @@ func RecordContext(ctx context.Context, o RecordOptions) ([]registry.Run, error)
 	return runs, err
 }
 
-// ctxCancel adapts ctx to an engine Config.Cancel hook, or nil for a
+// ctxCancel adapts ctx to an engine RunOptions.Cancel hook, or nil for a
 // context that can never be cancelled (ctx.Err() is then a pure
 // function returning nil, and installing a hook would only cost the
 // golden path its bit-identical no-hook equivalence).

@@ -69,7 +69,7 @@ func TestRecordContextEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Also through a cancellable (but never cancelled) context: the
-	// Config.Cancel hook is installed on this path and must still not
+	// RunOptions.Cancel hook is installed on this path and must still not
 	// perturb results.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -29,7 +29,7 @@ type Options struct {
 	// Parallel caps worker goroutines (0 = GOMAXPROCS).
 	Parallel int
 	// Cancel, when non-nil, threads into every engine run the drivers
-	// schedule through the shared runner (engine Config.Cancel): the
+	// schedule through the shared runner (engine RunOptions.Cancel): the
 	// cooperative stop the job service uses to abandon an experiment
 	// mid-run. A cancelled driver still returns its Experiment, but the
 	// partial numbers are meaningless — callers that set Cancel must
@@ -140,7 +140,6 @@ func (r *runner) cfg(s engine.Scheme) engine.Config {
 		Instructions: r.o.Instructions,
 		Warmup:       r.o.Warmup,
 		FullMemory:   r.o.FullMemory,
-		Cancel:       r.o.Cancel,
 	}
 }
 
@@ -192,13 +191,13 @@ func TableV(o Options) *Experiment {
 	rows := make([][]float64, len(profs))
 	r.parallel(profs, func(i int, p trace.Profile) {
 		spFull := r.run(engine.Config{Scheme: engine.SchemeSP,
-			Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: true, Cancel: r.o.Cancel}, p)
+			Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: true}, p)
 		wbFull := r.run(engine.Config{Scheme: engine.SchemeSecureWB,
-			Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: true, Cancel: r.o.Cancel}, p)
+			Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: true}, p)
 		sp := r.run(engine.Config{Scheme: engine.SchemeSP,
-			Instructions: r.o.Instructions, Warmup: r.o.Warmup, Cancel: r.o.Cancel}, p)
+			Instructions: r.o.Instructions, Warmup: r.o.Warmup}, p)
 		o3 := r.run(engine.Config{Scheme: engine.SchemeO3,
-			Instructions: r.o.Instructions, Warmup: r.o.Warmup, Cancel: r.o.Cancel}, p)
+			Instructions: r.o.Instructions, Warmup: r.o.Warmup}, p)
 		rows[i] = []float64{spFull.PPKI, p.Paper.SpFull, wbFull.PPKI, p.Paper.WBFull,
 			sp.PPKI, p.Paper.Sp, o3.PPKI, p.Paper.O3}
 	})
@@ -439,7 +438,7 @@ func LLCSweep(o Options) *Experiment {
 		for c, s := range sizes {
 			base := r.run(engine.Config{Scheme: engine.SchemeSecureWB,
 				Instructions: r.o.Instructions, Warmup: r.o.Warmup, FullMemory: r.o.FullMemory,
-				LLCKB: s, Cancel: r.o.Cancel}, p)
+				LLCKB: s}, p)
 			cfg := r.cfg(engine.SchemeCoalescing)
 			cfg.LLCKB = s
 			res := r.run(cfg, p)

@@ -88,17 +88,17 @@ func TestMemoSecondPassRunsNoEngine(t *testing.T) {
 
 	var runs, sourceRuns, resumes atomic.Int64
 	origRun, origSrc, origResume := engineRun, engineRunSource, engineResume
-	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
+	engineRun = func(cfg engine.Config, p trace.Profile, opts ...engine.RunOptions) engine.Result {
 		runs.Add(1)
-		return origRun(cfg, p)
+		return origRun(cfg, p, opts...)
 	}
-	engineRunSource = func(cfg engine.Config, bench string, ipc float64, src trace.Source) engine.Result {
+	engineRunSource = func(cfg engine.Config, bench string, ipc float64, src trace.Source, opts ...engine.RunOptions) engine.Result {
 		sourceRuns.Add(1)
-		return origSrc(cfg, bench, ipc, src)
+		return origSrc(cfg, bench, ipc, src, opts...)
 	}
-	engineResume = func(ck *engine.Checkpoint, cfg engine.Config) (engine.Result, error) {
+	engineResume = func(ck *engine.Checkpoint, cfg engine.Config, opts ...engine.RunOptions) (engine.Result, error) {
 		resumes.Add(1)
-		return origResume(ck, cfg)
+		return origResume(ck, cfg, opts...)
 	}
 	defer func() { engineRun, engineRunSource, engineResume = origRun, origSrc, origResume }()
 
@@ -114,13 +114,13 @@ func TestMemoSecondPassRunsNoEngine(t *testing.T) {
 func TestMemoColdPassUsesResume(t *testing.T) {
 	var runs, resumes atomic.Int64
 	origRun, origResume := engineRun, engineResume
-	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
+	engineRun = func(cfg engine.Config, p trace.Profile, opts ...engine.RunOptions) engine.Result {
 		runs.Add(1)
-		return origRun(cfg, p)
+		return origRun(cfg, p, opts...)
 	}
-	engineResume = func(ck *engine.Checkpoint, cfg engine.Config) (engine.Result, error) {
+	engineResume = func(ck *engine.Checkpoint, cfg engine.Config, opts ...engine.RunOptions) (engine.Result, error) {
 		resumes.Add(1)
-		return origResume(ck, cfg)
+		return origResume(ck, cfg, opts...)
 	}
 	defer func() { engineRun, engineResume = origRun, origResume }()
 
@@ -133,44 +133,35 @@ func TestMemoColdPassUsesResume(t *testing.T) {
 	}
 }
 
-// TestMemoKeyInvalidation: every semantic Config difference must map
-// to a distinct memo key; observational differences must not.
+// TestMemoKeyInvalidation: every model-parameter difference (every
+// field of the engine's divergence map) must map to a distinct memo
+// key; the Arena buffer pointer must not.
 func TestMemoKeyInvalidation(t *testing.T) {
 	base := engine.Config{Scheme: engine.SchemeSP, Instructions: 50_000, Warmup: 10_000}
-	baseKey, ok := memoKeyOf(base, "b", 1)
-	if !ok {
-		t.Fatal("base config must be memoizable")
-	}
+	baseKey := memoKeyOf(base, "b", 1)
 	stages := engine.FieldStages()
 	for name, mutate := range configMutatorsHarness() {
-		cfg := mutate(base)
-		key, ok := memoKeyOf(cfg, "b", 1)
-		semantic := stages[name] <= engine.StageMeasure
-		if !ok {
-			if semantic {
-				t.Errorf("mutating %s made the config unmemoizable; expected a key change", name)
-			}
-			continue // unmemoizable observational configs can never collide
-		}
+		key := memoKeyOf(mutate(base), "b", 1)
+		_, semantic := stages[name]
 		if semantic && key == baseKey {
 			t.Errorf("mutating %s (semantic) did not change the memo key", name)
 		}
 		if !semantic && key != baseKey {
-			t.Errorf("mutating %s (observational) changed the memo key", name)
+			t.Errorf("mutating %s (a buffer, not a parameter) changed the memo key", name)
 		}
 	}
 	// Defaults collide with their explicit spellings (Normalized).
 	explicit := base
 	explicit.MACLatency = 40
 	explicit.EpochSize = 32
-	if key, _ := memoKeyOf(explicit, "b", 1); key != baseKey {
+	if memoKeyOf(explicit, "b", 1) != baseKey {
 		t.Error("explicitly spelling the defaults must hit the same key")
 	}
 	// Trace identity is part of the key.
-	if k, _ := memoKeyOf(base, "other", 1); k == baseKey {
+	if memoKeyOf(base, "other", 1) == baseKey {
 		t.Error("bench missing from memo key")
 	}
-	if k, _ := memoKeyOf(base, "b", 2); k == baseKey {
+	if memoKeyOf(base, "b", 2) == baseKey {
 		t.Error("seed missing from memo key")
 	}
 }
@@ -209,25 +200,7 @@ func configMutatorsHarness() map[string]func(engine.Config) engine.Config {
 			c.NVM.Banks = 4
 			return c
 		},
-		"DebugEpochs": func(c engine.Config) engine.Config { c.DebugEpochs = 1; return c },
-		"Trace": func(c engine.Config) engine.Config {
-			c.Trace = func(engine.TraceEvent) {}
-			return c
-		},
-		"Tracing": func(c engine.Config) engine.Config {
-			c.Tracing = engine.TraceConfig{Mode: engine.TraceSystemOnly}
-			return c
-		},
-		"Arena":    func(c engine.Config) engine.Config { c.Arena = engine.NewArena(); return c },
-		"CrashLog": func(c engine.Config) engine.Config { c.CrashLog = &engine.CrashLog{}; return c },
-		"Cancel": func(c engine.Config) engine.Config {
-			c.Cancel = func() bool { return false }
-			return c
-		},
-		"Telemetry": func(c engine.Config) engine.Config {
-			c.Telemetry = telemetry.NewSampler(1000, 0, nil)
-			return c
-		},
+		"Arena": func(c engine.Config) engine.Config { c.Arena = engine.NewArena(); return c },
 	}
 }
 
@@ -247,7 +220,7 @@ func TestMemoMutatorTableComplete(t *testing.T) {
 // execution.
 func TestMemoSingleflight(t *testing.T) {
 	memo := NewMemo(0)
-	key, _ := memoKeyOf(engine.Config{Scheme: engine.SchemeSP, Instructions: 1000}, "b", 1)
+	key := memoKeyOf(engine.Config{Scheme: engine.SchemeSP, Instructions: 1000}, "b", 1)
 	var execs atomic.Int64
 	const workers = 16
 	var wg sync.WaitGroup
@@ -275,7 +248,7 @@ func TestMemoSingleflight(t *testing.T) {
 // never served to later requesters.
 func TestMemoCancelledRunNotStored(t *testing.T) {
 	memo := NewMemo(0)
-	key, _ := memoKeyOf(engine.Config{Scheme: engine.SchemeSP, Instructions: 1000}, "b", 1)
+	key := memoKeyOf(engine.Config{Scheme: engine.SchemeSP, Instructions: 1000}, "b", 1)
 	res, _, hit := memo.Run(key, func() (engine.Result, *telemetry.Series, bool) {
 		return engine.Result{Cycles: 1}, nil, false // cancelled
 	})
@@ -305,8 +278,7 @@ func TestMemoCancelledRunNotStored(t *testing.T) {
 func TestMemoEviction(t *testing.T) {
 	memo := NewMemo(4096) // tiny: a couple of result entries
 	mk := func(i uint64) MemoKey {
-		k, _ := memoKeyOf(engine.Config{Scheme: engine.SchemeSP, Instructions: 1000 + i}, "b", 1)
-		return k
+		return memoKeyOf(engine.Config{Scheme: engine.SchemeSP, Instructions: 1000 + i}, "b", 1)
 	}
 	for i := uint64(0); i < 8; i++ {
 		memo.Run(mk(i), func() (engine.Result, *telemetry.Series, bool) {

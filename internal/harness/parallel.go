@@ -33,20 +33,20 @@ var (
 var arenaPool = sync.Pool{New: func() any { return engine.NewArena() }}
 
 // runPooled executes one simulation with a pooled arena attached.
-func runPooled(cfg engine.Config, p trace.Profile) engine.Result {
+func runPooled(cfg engine.Config, p trace.Profile, opts engine.RunOptions) engine.Result {
 	ar := arenaPool.Get().(*engine.Arena)
 	cfg.Arena = ar
-	res := engineRun(cfg, p)
+	res := engineRun(cfg, p, opts)
 	arenaPool.Put(ar)
 	return res
 }
 
 // runPooledSource is runPooled over an explicit op source (a trace
 // store replay instead of a fresh generator).
-func runPooledSource(cfg engine.Config, p trace.Profile, src trace.Source) engine.Result {
+func runPooledSource(cfg engine.Config, p trace.Profile, src trace.Source, opts engine.RunOptions) engine.Result {
 	ar := arenaPool.Get().(*engine.Arena)
 	cfg.Arena = ar
-	res := engineRunSource(cfg, p.Name, p.IPC, src)
+	res := engineRunSource(cfg, p.Name, p.IPC, src, opts)
 	arenaPool.Put(ar)
 	return res
 }
@@ -55,8 +55,9 @@ func runPooledSource(cfg engine.Config, p trace.Profile, src trace.Source) engin
 // picking the cheapest correct path: resume a shared warm-up
 // checkpoint when one applies, replay a shared trace batch when the
 // store is enabled, else generate the trace privately. All three are
-// bit-identical (equivalence-pinned).
-func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
+// bit-identical (equivalence-pinned). opts carries the run's observer
+// and the runner's cancel hook.
+func (r *runner) cold(cfg engine.Config, p trace.Profile, opts engine.RunOptions) engine.Result {
 	n := cfg.Normalized()
 	total := n.Instructions + n.Warmup
 	if r.o.Memo != nil && n.Warmup > 0 {
@@ -69,7 +70,7 @@ func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
 		if err == nil {
 			ar := arenaPool.Get().(*engine.Arena)
 			cfg.Arena = ar
-			res, err := engineResume(ck, cfg)
+			res, err := engineResume(ck, cfg, opts)
 			arenaPool.Put(ar)
 			if err == nil {
 				return res
@@ -81,9 +82,9 @@ func (r *runner) cold(cfg engine.Config, p trace.Profile) engine.Result {
 		// the runner's own configs.
 	}
 	if r.o.Traces != nil {
-		return runPooledSource(cfg, p, r.o.Traces.Get(p, total).Replay())
+		return runPooledSource(cfg, p, r.o.Traces.Get(p, total).Replay(), opts)
 	}
-	return runPooled(cfg, p)
+	return runPooled(cfg, p, opts)
 }
 
 // run executes one simulation through the full memoization stack.
@@ -103,32 +104,28 @@ func (r *runner) run(cfg engine.Config, p trace.Profile) engine.Result {
 // externally owned sampler empty.
 func (r *runner) runSeries(cfg engine.Config, p trace.Profile, sampled bool, interval sim.Cycle, observe func(*telemetry.Sampler)) (engine.Result, *telemetry.Series, bool) {
 	exec := func() (engine.Result, *telemetry.Series, bool) {
-		c := cfg
+		opts := engine.RunOptions{Cancel: r.o.Cancel}
 		var sampler *telemetry.Sampler
 		if sampled {
 			sampler = telemetry.NewSampler(interval, 0, engine.ComponentLabels())
-			c.Telemetry = sampler
+			opts.Observer = engine.Sampling(sampler)
 		}
 		if observe != nil {
 			observe(sampler)
 		}
-		res := r.cold(c, p)
+		res := r.cold(cfg, p, opts)
 		var series *telemetry.Series
 		if sampler != nil {
 			snap := sampler.Snapshot()
 			series = &snap
 		}
-		return res, series, c.Cancel == nil || !c.Cancel()
+		return res, series, opts.Cancel == nil || !opts.Cancel()
 	}
 	if r.o.Memo == nil {
 		res, series, _ := exec()
 		return res, series, false
 	}
-	key, ok := memoKeyOf(cfg, p.Name, p.Seed)
-	if !ok {
-		res, series, _ := exec()
-		return res, series, false
-	}
+	key := memoKeyOf(cfg, p.Name, p.Seed)
 	key.Sampled, key.Interval = sampled, interval
 	return r.o.Memo.Run(key, exec)
 }

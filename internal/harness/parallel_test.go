@@ -16,9 +16,9 @@ func countEngineRuns(t *testing.T) *int64 {
 	t.Helper()
 	var n int64
 	orig := engineRun
-	engineRun = func(cfg engine.Config, p trace.Profile) engine.Result {
+	engineRun = func(cfg engine.Config, p trace.Profile, opts ...engine.RunOptions) engine.Result {
 		atomic.AddInt64(&n, 1)
-		return orig(cfg, p)
+		return orig(cfg, p, opts...)
 	}
 	t.Cleanup(func() { engineRun = orig })
 	return &n

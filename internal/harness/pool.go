@@ -162,7 +162,7 @@ func FanProbe(n, workers int, probe *PoolProbe, fn func(i int)) {
 // FanCtx is Fan with cooperative cancellation: once ctx is done no new
 // item is dispatched; invocations already running finish normally (the
 // engine additionally observes the context mid-run when the caller
-// threads it into Config.Cancel, as RecordContext does). It returns
+// threads it into RunOptions.Cancel, as RecordContext does). It returns
 // nil when all n invocations ran, ctx.Err() otherwise. A background
 // (never-cancelled) context makes FanCtx behave exactly like Fan.
 func FanCtx(ctx context.Context, n, workers int, fn func(i int)) error {

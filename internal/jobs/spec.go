@@ -9,7 +9,7 @@
 // without limit and falling over under a burst.
 //
 // Job-mode runs are cycle-identical to CLI runs: the only engine-side
-// coupling is Config.Cancel, whose unfired polls are proven not to
+// coupling is RunOptions.Cancel, whose unfired polls are proven not to
 // perturb a single cycle (engine and harness equivalence tests).
 package jobs
 

@@ -17,9 +17,8 @@ func testRun(t *testing.T, scheme engine.Scheme, bench string) Run {
 		t.Fatalf("unknown profile %q", bench)
 	}
 	sampler := telemetry.NewSampler(8192, 0, engine.ComponentLabels())
-	res := engine.Run(engine.Config{
-		Scheme: scheme, Instructions: 50_000, Telemetry: sampler,
-	}, prof)
+	res := engine.Run(engine.Config{Scheme: scheme, Instructions: 50_000}, prof,
+		engine.RunOptions{Observer: engine.Sampling(sampler)})
 	snap := sampler.Snapshot()
 	return FromResult(res, &snap)
 }

@@ -29,8 +29,15 @@ func TestFacadeSimulate(t *testing.T) {
 	if !ok {
 		t.Fatal("gamess missing")
 	}
-	r := Simulate(SimConfig{Scheme: Coalescing, Instructions: 200_000}, p)
-	if r.Cycles == 0 || r.Persists == 0 {
+	s, err := NewSession(WithConfig(SimConfig{Scheme: Coalescing, Instructions: 200_000}), WithProfile(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Scheme != Coalescing || r.Cycles == 0 || r.Persists == 0 {
 		t.Fatalf("empty result: %+v", r)
 	}
 }

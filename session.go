@@ -54,11 +54,11 @@ const (
 )
 
 // Session is the configured entry point for timing simulations: build
-// one with NewSession and functional options, then Run it. Unlike the
-// flat Simulate, a Session validates its configuration up front
-// (returning errors instead of panicking deep in the engine), carries
-// an optional context whose cancellation stops the run cooperatively,
-// and can stream telemetry while running.
+// one with NewSession and functional options, then Run it. A Session
+// validates its configuration up front (returning errors instead of
+// panicking deep in the engine), carries an optional context whose
+// cancellation stops the run cooperatively, and can stream telemetry
+// and trace events while running.
 //
 //	prof, _ := plp.BenchmarkByName("gcc")
 //	s, err := plp.NewSession(
@@ -78,6 +78,10 @@ type Session struct {
 	profSet bool
 	ctx     context.Context
 	log     *slog.Logger
+
+	// The per-run observers each Run attaches (engine.RunOptions).
+	tel     *telemetry.Sampler
+	tracing TracingConfig
 
 	err error // first option error, surfaced by NewSession
 }
@@ -124,13 +128,7 @@ func WithFullMemory() SessionOption {
 // geometry, MAC latency, epoch size, crash injection, ...). Apply it
 // before the narrower options so they win.
 func WithConfig(cfg SimConfig) SessionOption {
-	return func(s *Session) {
-		prev := s.cfg.Cancel
-		s.cfg = cfg
-		if s.cfg.Cancel == nil {
-			s.cfg.Cancel = prev
-		}
-	}
+	return func(s *Session) { s.cfg = cfg }
 }
 
 // WithContext attaches a context: if it is cancelled (or its deadline
@@ -152,7 +150,7 @@ func WithContext(ctx context.Context) SessionOption {
 // the run's windowed time series; Snapshot it concurrently for live
 // progress.
 func WithTelemetry(t *TelemetrySampler) SessionOption {
-	return func(s *Session) { s.cfg.Telemetry = t }
+	return func(s *Session) { s.tel = t }
 }
 
 // WithLogger attaches a structured logger (e.g. obs.NewLogger's):
@@ -176,7 +174,7 @@ func WithLogger(l *slog.Logger) SessionOption {
 // tracing and keeps the engine's exact zero-overhead path). NewSession
 // validates the configuration.
 func WithTracing(tc TracingConfig) SessionOption {
-	return func(s *Session) { s.cfg.Tracing = tc }
+	return func(s *Session) { s.tracing = tc }
 }
 
 func (s *Session) fail(err error) {
@@ -202,6 +200,9 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	if err := s.cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("plp: %w", err)
 	}
+	if err := s.tracing.Validate(); err != nil {
+		return nil, fmt.Errorf("plp: %w", err)
+	}
 	return s, nil
 }
 
@@ -219,12 +220,19 @@ func (s *Session) Run() (SimResult, error) {
 		return SimResult{}, err
 	}
 	cfg := s.cfg
+	var opts engine.RunOptions
 	if s.ctx.Done() != nil {
 		// Only a cancellable context installs the hook: background
 		// sessions keep the engine's exact no-hook code path.
 		ctx := s.ctx
-		cfg.Cancel = func() bool { return ctx.Err() != nil }
+		opts.Cancel = func() bool { return ctx.Err() != nil }
 	}
+	// Each Run builds its own tracer: a Tracer serves one run at a time.
+	tr := engine.NewTracer(s.tracing)
+	if tr != nil {
+		opts.Observer = tr
+	}
+	opts.Observer = engine.Observers(opts.Observer, engine.Sampling(s.tel))
 	if s.log != nil {
 		s.log.Info("run start",
 			"bench", s.prof.Name,
@@ -232,7 +240,10 @@ func (s *Session) Run() (SimResult, error) {
 			"instructions", cfg.Instructions)
 	}
 	start := time.Now()
-	res := engine.Run(cfg, s.prof)
+	res := engine.Run(cfg, s.prof, opts)
+	if tr != nil {
+		res.Trace = tr.Stats()
+	}
 	err := s.ctx.Err()
 	if s.log != nil {
 		attrs := []any{

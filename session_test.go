@@ -11,10 +11,11 @@ import (
 	"time"
 
 	"plp"
+	"plp/internal/engine"
 )
 
-// TestSessionEquivalence pins that a Session run matches the flat
-// Simulate exactly — including when a (never-fired) cancellable
+// TestSessionEquivalence pins that a Session run matches a bare
+// engine.Run exactly — including when a (never-fired) cancellable
 // context installs the engine's cancellation hook.
 func TestSessionEquivalence(t *testing.T) {
 	prof, ok := plp.BenchmarkByName("gcc")
@@ -22,8 +23,7 @@ func TestSessionEquivalence(t *testing.T) {
 		t.Fatal("gcc profile missing")
 	}
 	cfg := plp.SimConfig{Scheme: plp.Coalescing, Instructions: 100_000}
-	//lint:ignore SA1019 comparing the deprecated shim against sessions is this test's purpose
-	want := plp.Simulate(cfg, prof)
+	want := engine.Run(cfg, prof)
 
 	s, err := plp.NewSession(
 		plp.WithProfile(prof),
@@ -38,7 +38,7 @@ func TestSessionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("session result differs from Simulate: cycles %d vs %d", got.Cycles, want.Cycles)
+		t.Fatalf("session result differs from engine.Run: cycles %d vs %d", got.Cycles, want.Cycles)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -57,7 +57,7 @@ func TestSessionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, want) {
-		t.Fatalf("hooked session differs from Simulate: cycles %d vs %d", res.Cycles, want.Cycles)
+		t.Fatalf("hooked session differs from engine.Run: cycles %d vs %d", res.Cycles, want.Cycles)
 	}
 }
 
