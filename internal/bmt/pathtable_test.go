@@ -1,36 +1,67 @@
 package bmt
 
-import "testing"
+import (
+	"testing"
 
-// TestPathTableMatchesUpdatePath checks every precomputed path against
-// the walking implementation, across arities and depths (including a
+	"plp/internal/xrand"
+)
+
+// TestPathTableMatchesUpdatePath checks every table path against the
+// walking implementation, across arities and depths (including a
 // non-power-of-two arity, which exercises the slow LCA path too).
+// Leaves are read in a shuffled order, twice, so both the lazy fill
+// and lookups of filled paths are checked; one table is reused across
+// every topology, so shape changes must drop stale paths.
 func TestPathTableMatchesUpdatePath(t *testing.T) {
+	rng := xrand.New(7)
+	var pt PathTable
 	for _, tc := range []struct{ levels, arity int }{
-		{1, 2}, {2, 2}, {3, 2}, {4, 8}, {9, 8}, {3, 3}, {4, 5},
+		{1, 2}, {2, 2}, {3, 2}, {4, 8}, {9, 8}, {3, 3}, {4, 5}, {9, 8},
 	} {
 		topo := MustNewTopology(tc.levels, tc.arity)
 		n := topo.Leaves()
 		if n > 4096 {
 			n = 4096
 		}
-		pt := NewPathTable(topo, n)
+		pt.Reuse(topo, n)
 		if pt.Len() != n {
 			t.Fatalf("levels=%d arity=%d: Len=%d want %d", tc.levels, tc.arity, pt.Len(), n)
 		}
-		for i := uint64(0); i < n; i++ {
-			want := topo.UpdatePath(topo.LeafLabel(i))
-			got := pt.Path(i)
-			if len(got) != len(want) {
-				t.Fatalf("levels=%d arity=%d leaf %d: path length %d want %d",
-					tc.levels, tc.arity, i, len(got), len(want))
+		order := make([]uint64, n)
+		for i := range order {
+			order[i] = uint64(i)
+		}
+		var held [][]Label // earlier views must stay valid across lookups
+		for pass := 0; pass < 2; pass++ {
+			for i := len(order) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				order[i], order[j] = order[j], order[i]
 			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("levels=%d arity=%d leaf %d: path[%d]=%d want %d",
-						tc.levels, tc.arity, i, k, got[k], want[k])
+			for _, i := range order {
+				got := pt.Path(i)
+				if pass == 0 && len(held) < 64 {
+					held = append(held, got)
 				}
+				checkPath(t, tc.levels, tc.arity, topo, i, got)
 			}
+		}
+		for _, p := range held {
+			checkPath(t, tc.levels, tc.arity, topo, topo.LeafIndex(p[0]), p)
+		}
+	}
+}
+
+func checkPath(t *testing.T, levels, arity int, topo *Topology, i uint64, got []Label) {
+	t.Helper()
+	want := topo.UpdatePath(topo.LeafLabel(i))
+	if len(got) != len(want) {
+		t.Fatalf("levels=%d arity=%d leaf %d: path length %d want %d",
+			levels, arity, i, len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("levels=%d arity=%d leaf %d: path[%d]=%d want %d",
+				levels, arity, i, k, got[k], want[k])
 		}
 	}
 }
@@ -39,10 +70,11 @@ func TestPathTableRejectsOversize(t *testing.T) {
 	topo := MustNewTopology(3, 2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewPathTable beyond the leaf count should panic")
+			t.Fatal("a path table beyond the leaf count should panic")
 		}
 	}()
-	NewPathTable(topo, topo.Leaves()+1)
+	var pt PathTable
+	pt.Reuse(topo, topo.Leaves()+1)
 }
 
 // TestLeafLCALevelMatchesLCA cross-checks the O(1) pairwise LCA level
@@ -92,7 +124,8 @@ func TestAppendUpdatePathReuse(t *testing.T) {
 func BenchmarkBMTAncestorPath(b *testing.B) {
 	topo := MustNewTopology(9, 8)
 	const n = 131_072
-	pt := NewPathTable(topo, n)
+	var pt PathTable
+	pt.Reuse(topo, n)
 	b.Run("walk", func(b *testing.B) {
 		b.ReportAllocs()
 		var sink Label

@@ -14,6 +14,9 @@ package bmt
 import (
 	"fmt"
 	"math/bits"
+
+	"plp/internal/addr"
+	"plp/internal/paged"
 )
 
 // Label identifies a BMT node.
@@ -41,12 +44,21 @@ type Topology struct {
 
 // NewTopology builds a complete tree with the given number of levels
 // (>= 1) and arity (>= 2). The paper's default is 9 levels, arity 8.
+// It rejects trees whose node count, or whose leaf count times
+// addr.BlocksPerPage, overflows uint64: at arity 8, more than 20 levels.
 func NewTopology(levels, arity int) (*Topology, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("bmt: levels must be >= 1, got %d", levels)
 	}
 	if arity < 2 {
 		return nil, fmt.Errorf("bmt: arity must be >= 2, got %d", arity)
+	}
+	// Labels, and the data blocks the leaves cover (one page of
+	// addr.BlocksPerPage blocks per leaf), must fit in 64 bits. With
+	// arity >= 2, more than 64 levels always overflow.
+	tooDeep := fmt.Errorf("bmt: %d levels of arity %d exceed 64-bit addressing", levels, arity)
+	if levels > 64 {
+		return nil, tooDeep
 	}
 	t := &Topology{arity: arity, levels: levels}
 	t.first = make([]uint64, levels)
@@ -56,8 +68,18 @@ func NewTopology(levels, arity int) (*Topology, error) {
 	for l := 0; l < levels; l++ {
 		t.first[l] = firstLabel
 		t.count[l] = n
-		firstLabel += n
-		n *= uint64(arity)
+		var carry, hi uint64
+		if firstLabel, carry = bits.Add64(firstLabel, n, 0); carry != 0 {
+			return nil, tooDeep
+		}
+		if l+1 < levels {
+			if hi, n = bits.Mul64(n, uint64(arity)); hi != 0 {
+				return nil, tooDeep
+			}
+		}
+	}
+	if hi, _ := bits.Mul64(n, addr.BlocksPerPage); hi != 0 {
+		return nil, tooDeep
 	}
 	if arity&(arity-1) == 0 {
 		t.arityBits = bits.Len(uint(arity)) - 1
@@ -242,41 +264,60 @@ func (t *Topology) PathsIntersectBelow(a, b Label) bool {
 	return t.LCA(a, b) != 0
 }
 
-// PathTable precomputes the update paths of the first n leaves (leaf
-// indices 0..n-1) as one flat label array: Path(i) is a view into it,
-// so looking up a persist's full leaf-to-root path costs an index
-// computation instead of Levels() parent divisions and an allocation.
-// The timing engine builds one per run, sized to the leaves its
-// (aliased) address space can actually touch — far smaller than the
-// whole tree.
+// PathTable holds the update paths of the first n leaves (leaf
+// indices 0..n-1), each filled on its first lookup: Path(i) is a view
+// into a paged label array, so looking up a persist's full leaf-to-root
+// path costs an index computation instead of Levels() parent divisions
+// and an allocation, and the table's memory follows the leaves a run
+// touches. Each path occupies a power-of-two stride of labels, so no
+// path straddles a page. The timing engine keeps one per arena, and
+// filled paths stay valid for every later run with the same tree shape.
+//
+// The zero value is an empty table; Reuse points it at a tree.
 type PathTable struct {
 	topo   *Topology
 	levels int
 	n      uint64
-	flat   []Label // n * levels labels, leaf first within each path
+	shift  uint // log2 of the per-path stride in labels
+	labels paged.Table[Label]
 }
 
-// NewPathTable precomputes paths for leaf indices [0, n). n must not
-// exceed the topology's leaf count.
-func NewPathTable(t *Topology, n uint64) *PathTable {
+// Reuse points the table at leaf indices [0, n) of t. Filled paths
+// are kept when t has the levels and arity of the table's previous
+// tree (labels then match leaf for leaf) and dropped otherwise, their
+// pages kept for reuse. n must not exceed the topology's leaf count.
+func (pt *PathTable) Reuse(t *Topology, n uint64) {
 	if n > t.Leaves() {
 		panic(fmt.Sprintf("bmt: path table over %d leaves, tree has %d", n, t.Leaves()))
 	}
-	pt := &PathTable{topo: t, levels: t.levels, n: n,
-		flat: make([]Label, 0, n*uint64(t.levels))}
-	for i := uint64(0); i < n; i++ {
-		pt.flat = t.AppendUpdatePath(pt.flat, t.LeafLabel(i))
+	if pt.topo == nil || pt.levels != t.levels || pt.topo.arity != t.arity {
+		pt.labels.Reset()
+		pt.levels = t.levels
+		pt.shift = uint(bits.Len(uint(t.levels - 1)))
 	}
-	return pt
+	pt.topo, pt.n = t, n
+	// A topology has at most 64 levels, so the stride (at most 64
+	// labels) divides a page (512 labels).
+	pt.labels.Grow(n << pt.shift)
 }
 
-// Len returns the number of precomputed leaf paths.
+// Len returns the number of leaf paths the table covers.
 func (pt *PathTable) Len() uint64 { return pt.n }
 
 // Path returns leaf index i's update path, leaf first and root last
-// (length Levels()). The returned slice aliases the table: callers
-// must treat it as read-only.
+// (length Levels()), filling it on first lookup. The returned slice
+// aliases the table and stays valid across later lookups: callers must
+// treat it as read-only.
 func (pt *PathTable) Path(i uint64) []Label {
-	off := i * uint64(pt.levels)
-	return pt.flat[off : off+uint64(pt.levels) : off+uint64(pt.levels)]
+	if i >= pt.n {
+		panic(fmt.Sprintf("bmt: path of leaf %d outside the table's %d", i, pt.n))
+	}
+	p := pt.labels.Span(i<<pt.shift, pt.levels)
+	// An unfilled path reads all zeros. A filled one starts with its
+	// leaf label, which is nonzero unless the tree is the root alone,
+	// whose one-label path [0] is the zero value already.
+	if p[0] == 0 && pt.levels > 1 {
+		pt.topo.AppendUpdatePath(p[:0], pt.topo.LeafLabel(i))
+	}
+	return p
 }

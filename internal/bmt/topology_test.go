@@ -35,6 +35,24 @@ func TestNewTopologyErrors(t *testing.T) {
 	if _, err := NewTopology(4, 1); err == nil {
 		t.Fatal("arity 1 accepted")
 	}
+	// The deepest trees whose labels and covered data blocks
+	// (Leaves()*addr.BlocksPerPage) fit in uint64 build; one level more
+	// returns an error instead of wrapping.
+	for _, tc := range []struct{ levels, arity int }{{20, 8}, {58, 2}, {2, 1 << 40}} {
+		topo, err := NewTopology(tc.levels, tc.arity)
+		if err != nil {
+			t.Fatalf("levels=%d arity=%d: %v", tc.levels, tc.arity, err)
+		}
+		if topo.Leaves() == 0 || topo.Nodes() <= topo.Leaves() {
+			t.Fatalf("levels=%d arity=%d: counts wrapped (%d leaves, %d nodes)",
+				tc.levels, tc.arity, topo.Leaves(), topo.Nodes())
+		}
+	}
+	for _, tc := range []struct{ levels, arity int }{{21, 8}, {23, 8}, {59, 2}, {3, 1 << 40}, {1 << 30, 8}} {
+		if _, err := NewTopology(tc.levels, tc.arity); err == nil {
+			t.Errorf("levels=%d arity=%d: overflowing tree accepted", tc.levels, tc.arity)
+		}
+	}
 }
 
 func TestUpdatePathFig1(t *testing.T) {

@@ -52,6 +52,29 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestDeepTreeRunMemory pins that a run's memory follows the lines it
+// touches, not the modelled address space, whose BMT region grows 8x
+// per level: one fresh-arena run of each scheme at BMTLevels=12, the
+// deepest tree TestPipeliningImprovesWithTreeDepth sweeps, must
+// allocate under 256 MB in total.
+func TestDeepTreeRunMemory(t *testing.T) {
+	p, _ := trace.ProfileByName("gamess")
+	const limit = 256 << 20
+	for _, s := range AllSchemes() {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Run(Config{Scheme: s, BMTLevels: 12, Instructions: 200_000}, p)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %.1f MB allocated", s, float64(got)/(1<<20))
+		if got > limit {
+			t.Errorf("%s: a BMTLevels=12 run allocated %d MB, want under %d MB",
+				s, got>>20, limit>>20)
+		}
+	}
+}
+
 // BenchmarkEngineStoreLoop measures the per-scheme hot loop: one full
 // simulation per iteration on a pooled arena, so steady-state cost
 // (not setup) dominates. b.ReportAllocs surfaces the alloc count the

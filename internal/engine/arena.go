@@ -2,71 +2,52 @@ package engine
 
 import (
 	"plp/internal/bmt"
+	"plp/internal/paged"
 	"plp/internal/sim"
 	"plp/internal/trace"
 )
 
-// Arena holds the large reusable buffers of a run's hot path: the
-// write-merge table (one cycle per metadata line, ~100MB at full
-// coverage), the epoch-membership generation set, the precomputed BMT
-// path table, and the trace batch buffer. Sweeps that execute many
-// runs back to back hand the same arena to each Config so the big
-// allocations happen once per worker instead of once per run; results
-// are bit-identical with or without one.
+// Arena holds the reusable buffers of a run's hot path: the
+// write-merge table (one cycle per data, counter and MAC line), the
+// epoch-membership generation stamps (one per trace block), the BMT
+// path table, and the trace batch buffer. The first three are paged
+// tables (package paged): they are indexed across the whole modelled
+// memory but allocate 4 KB pages only where a run touches, so a run's
+// memory follows the lines it touches and not the tree depth. Sweeps
+// that execute many runs back to back hand the same arena to each
+// Config so the pages allocate once per worker instead of once per
+// run; results are bit-identical with or without one.
 //
 // An arena is not safe for concurrent use: at most one run may use it
 // at a time. The zero value is ready to use.
 type Arena struct {
-	lastWrite []sim.Cycle
-	dirty     []uint64 // lines written in lastWrite since the last cycles() call
-	epochGen  []uint32
-	epochCur  uint32
-	ops       []trace.Op
-
-	paths       *bmt.PathTable
-	pathsLevels int
-	pathsN      uint64
+	writes   paged.Table[sim.Cycle]
+	stamps   paged.Table[uint32]
+	stampGen uint32
+	paths    bmt.PathTable
+	ops      []trace.Op
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
 func NewArena() *Arena { return &Arena{} }
 
-// cycles returns a zeroed cycle buffer of length n, reusing the
-// arena's backing array when it is large enough. Reuse zeroes only
-// the entries the previous run dirtied (mergedWrite records them):
-// a run touches tens of thousands of distinct lines in a table of
-// ~12 million, so a full clear would cost more than the run itself.
-func (a *Arena) cycles(n uint64) []sim.Cycle {
-	if uint64(cap(a.lastWrite)) < n {
-		a.lastWrite = make([]sim.Cycle, n)
-		a.dirty = a.dirty[:0]
-		return a.lastWrite
-	}
-	full := a.lastWrite[:cap(a.lastWrite)]
-	for _, line := range a.dirty {
-		full[line] = 0
-	}
-	a.dirty = a.dirty[:0]
-	return a.lastWrite[:n]
+// writeTable returns the write-merge table over lines [0, n), all
+// zero. Reuse zeroes only the pages the previous run touched.
+func (a *Arena) writeTable(n uint64) *paged.Table[sim.Cycle] {
+	a.writes.Reset()
+	a.writes.Grow(n)
+	return &a.writes
 }
 
-// gens returns the epoch generation-stamp buffer of length n and the
-// current generation counter. The buffer is NOT cleared on reuse: the
-// counter is monotonic across runs sharing the arena, so stale stamps
-// from earlier runs can never equal a current generation (0 is the
-// never-stamped sentinel; the counter is bumped past it before use).
-func (a *Arena) gens(n uint64) ([]uint32, uint32) {
-	if uint64(cap(a.epochGen)) < n {
-		a.epochGen = make([]uint32, n)
-		a.epochCur = 0
-		return a.epochGen, 0
-	}
-	old := len(a.epochGen)
-	a.epochGen = a.epochGen[:n]
-	for i := old; i < len(a.epochGen); i++ {
-		a.epochGen[i] = 0
-	}
-	return a.epochGen, a.epochCur
+// gens returns the epoch generation-stamp table over blocks [0, n)
+// and the current generation counter. The table is NOT cleared on
+// reuse: the counter is monotonic across runs sharing the arena, so
+// stale stamps from earlier runs can never equal a current generation
+// (0 is the never-stamped sentinel; the counter is bumped past it
+// before use).
+func (a *Arena) gens(n uint64) (*paged.Table[uint32], uint32) {
+	a.stamps.Grow(n)
+	return &a.stamps, a.stampGen
 }
 
 // opBuf returns a trace batch buffer of length n.
@@ -77,15 +58,11 @@ func (a *Arena) opBuf(n int) []trace.Op {
 	return a.ops[:n]
 }
 
-// pathTable returns a PathTable over the first n leaves of t, reusing
-// the previous table when the topology shape matches (the engine's
-// trees are always arity 8, so levels+n determine the labels).
+// pathTable returns the arena's PathTable over the first n leaves of
+// t. Paths filled by earlier runs stay valid while the tree shape
+// matches (the engine's trees are always arity 8, so the level count
+// decides).
 func (a *Arena) pathTable(t *bmt.Topology, n uint64) *bmt.PathTable {
-	if a.paths != nil && a.pathsLevels == t.Levels() && a.pathsN == n {
-		return a.paths
-	}
-	a.paths = bmt.NewPathTable(t, n)
-	a.pathsLevels = t.Levels()
-	a.pathsN = n
-	return a.paths
+	a.paths.Reuse(t, n)
+	return &a.paths
 }

@@ -89,10 +89,20 @@ func TestValidate(t *testing.T) {
 		{MDCWays: -8},
 		{CtrCacheKB: 7}, // 7KB/8-way: set count not a power of two
 		{LLCKB: 3},
+		{BMTLevels: 21}, // Leaves()*BlocksPerPage overflows uint64
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %+v validated clean, want error", cfg)
 		}
+	}
+	// The deepest addressable tree validates and runs.
+	deepest := Config{Scheme: SchemePipeline, BMTLevels: 20, Instructions: 20_000}
+	if err := deepest.Validate(); err != nil {
+		t.Fatalf("BMTLevels=20: %v", err)
+	}
+	p, _ := trace.ProfileByName("gcc")
+	if res := Run(deepest, p); res.Persists == 0 || res.BMTNodeUpdates != 20*res.Persists {
+		t.Fatalf("BMTLevels=20 run: %d persists, %d node updates", res.Persists, res.BMTNodeUpdates)
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"plp/internal/layout"
 	"plp/internal/mac"
 	"plp/internal/nvm"
+	"plp/internal/paged"
 	"plp/internal/ptt"
 	"plp/internal/sim"
 	"plp/internal/stats"
@@ -155,13 +156,13 @@ type Config struct {
 	// (the sfence drain the core observes under epoch persistency).
 	FlushCyclesPerLine int
 
-	// Arena, when non-nil, supplies the run's large reusable hot-path
-	// buffers (write-merge table, epoch membership set, precomputed
-	// BMT path table, trace batch buffer). Sweeps executing many runs
-	// hand each worker one arena so the ~100MB of metadata allocates
-	// once instead of once per run; results are bit-identical either
-	// way. An arena must not be shared by concurrent runs. Nil
-	// allocates private buffers.
+	// Arena, when non-nil, supplies the run's reusable hot-path
+	// buffers (the paged write-merge table, epoch membership stamps
+	// and BMT path table, and the trace batch buffer). Sweeps
+	// executing many runs hand each worker one arena so the pages a
+	// run touches allocate once instead of once per run; results are
+	// bit-identical either way. An arena must not be shared by
+	// concurrent runs. Nil allocates private buffers.
 	Arena *Arena
 
 	// CrashAt, when non-zero, injects a power loss at the given cycle:
@@ -347,21 +348,23 @@ type machine struct {
 	// alias, which is harmless for timing).
 	aliasBlocks uint64
 
-	// ar owns the run's big reusable buffers (Config.Arena or a
-	// private one).
+	// ar owns the run's reusable paged tables and op buffer
+	// (Config.Arena or a private one).
 	ar *Arena
 
 	// lastWrite implements write merging in the memory controller's
 	// write queue: a line rewritten while its previous write is still
 	// queued coalesces instead of consuming write bandwidth. It is a
-	// flat per-line table (index = layout line, value = drain time + 1,
-	// 0 = never written): the hot path's most frequent lookup, which as
-	// a map both allocated steadily and grew without bound.
-	lastWrite []sim.Cycle
+	// paged per-line table (index = layout line, value = drain time +
+	// 1, 0 = never written) over the data, counter and MAC regions,
+	// the lines mergedWrite is called with; BMT node writes go to the
+	// NVM model directly. Its memory follows the lines a run touches.
+	lastWrite *paged.Table[sim.Cycle]
 
-	// paths precomputes the leaf-to-root update path of every BMT leaf
-	// the synthetic address map can touch; pathOf falls back to
-	// pathScratch for leaf indices beyond it (wider recorded traces).
+	// paths holds the leaf-to-root update path of every BMT leaf the
+	// synthetic address map can touch, each filled on first lookup;
+	// pathOf falls back to pathScratch for leaf indices beyond it
+	// (wider recorded traces).
 	paths       *bmt.PathTable
 	pathScratch []bmt.Label
 
@@ -380,11 +383,11 @@ type machine struct {
 	nodePersistDepth int
 
 	// Epoch membership (runEpoch): a generation-stamp set over trace
-	// blocks replaces the old per-epoch map — epochGen[b] == epochCur
+	// blocks replaces the old per-epoch map — stamp b == epochCur
 	// means b is already in the current epoch, and bumping epochCur
 	// empties the set without touching memory. epochOver catches
-	// blocks beyond the stamp array (recorded traces only).
-	epochGen  []uint32
+	// blocks beyond the stamp table (recorded traces only).
+	epochGen  *paged.Table[uint32]
 	epochCur  uint32
 	epochOver map[addr.Block]struct{}
 
@@ -462,8 +465,8 @@ func newMachine(cfg Config, opts RunOptions) *machine {
 		m.aliasBlocks = covered
 	}
 	m.lay = layout.MustNew(m.aliasBlocks, m.topo)
-	m.lastWrite = m.ar.cycles(m.lay.TotalBlocks())
-	// One BMT leaf per encryption page: precompute the paths of every
+	m.lastWrite = m.ar.writeTable(m.lay.BMTBase)
+	// One BMT leaf per encryption page: the path table covers every
 	// leaf index the synthetic address map can reach (min of the page
 	// count and, for shallow ablation trees, the whole leaf set).
 	nPaths := (uint64(trace.TotalBlocks) + addr.BlocksPerPage - 1) / addr.BlocksPerPage
@@ -497,7 +500,7 @@ func newMachine(cfg Config, opts RunOptions) *machine {
 }
 
 // pathOf returns blk's leaf-to-root update path (length BMTLevels,
-// leaf first). Lookups hit the precomputed table; leaf indices beyond
+// leaf first). Lookups hit the path table; leaf indices beyond
 // it fall back to a scratch buffer that stays valid only until the
 // next pathOf call (the epoch scheduler, which holds several paths at
 // once, keeps its own spill buffer instead).
@@ -513,11 +516,12 @@ func (m *machine) pathOf(b addr.Block) []bmt.Label {
 // epochSeen reports whether b is already a member of the current
 // epoch, stamping it in if not.
 func (m *machine) epochSeen(b addr.Block) bool {
-	if i := uint64(b); i < uint64(len(m.epochGen)) {
-		if m.epochGen[i] == m.epochCur {
+	if i := uint64(b); i < m.epochGen.Len() {
+		stamp := m.epochGen.At(i)
+		if *stamp == m.epochCur {
 			return true
 		}
-		m.epochGen[i] = m.epochCur
+		*stamp = m.epochCur
 		return false
 	}
 	if m.epochOver == nil {
@@ -531,12 +535,12 @@ func (m *machine) epochSeen(b addr.Block) bool {
 }
 
 // epochReset empties the epoch membership set by advancing the
-// generation (constant time; the stamp array is untouched). Stamp 0 is
+// generation (constant time; the stamp table is untouched). Stamp 0 is
 // reserved for "never stamped", so a counter wrap clears and restarts.
 func (m *machine) epochReset() {
 	m.epochCur++
 	if m.epochCur == 0 {
-		clear(m.epochGen)
+		m.epochGen.Reset()
 		m.epochCur = 1
 	}
 	if len(m.epochOver) > 0 {
@@ -628,17 +632,13 @@ func (m *machine) metaFetch(b addr.Block, ready sim.Cycle) sim.Cycle {
 // to the same line is still resident in the write queue (write
 // merging). It returns the line's drain time.
 func (m *machine) mergedWrite(line uint64, at sim.Cycle) sim.Cycle {
-	last := m.lastWrite[line]
+	entry := m.lastWrite.At(line)
+	last := *entry
 	if last != 0 && at < last-1+mergeWindow {
 		return last - 1 // coalesced with the queued write
 	}
 	done := m.mem.Write(line, at)
-	if last == 0 {
-		// First touch this run: record it so the arena can zero just
-		// this entry on reuse instead of sweeping the whole table.
-		m.ar.dirty = append(m.ar.dirty, line)
-	}
-	m.lastWrite[line] = done + 1
+	*entry = done + 1
 	return done
 }
 

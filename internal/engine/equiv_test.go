@@ -38,17 +38,22 @@ func TestBatchedSourceEquivalence(t *testing.T) {
 // TestArenaEquivalence reruns each scheme with a shared, already-dirty
 // arena and requires full Result equality with the arena-free run:
 // buffer reuse across runs of different schemes must not leak state.
+// Each scheme cycles the arena through tree depths 10, 8, 9 and 5, so
+// the path table changes shape between consecutive runs, and depth 5
+// is a shallow tree over which trace addresses alias.
 func TestArenaEquivalence(t *testing.T) {
 	p, _ := trace.ProfileByName("leslie3d")
 	ar := NewArena()
 	schemes := AllSchemes()
 	for _, s := range schemes {
-		cfg := Config{Scheme: s, Instructions: 60_000}
-		clean := Run(cfg, p)
-		cfg.Arena = ar
-		pooled := Run(cfg, p)
-		if !reflect.DeepEqual(clean, pooled) {
-			t.Errorf("%s: arena-backed result differs from arena-free run", s)
+		for _, levels := range []int{10, 8, 9, 5} {
+			cfg := Config{Scheme: s, Instructions: 60_000, BMTLevels: levels}
+			clean := Run(cfg, p)
+			cfg.Arena = ar
+			pooled := Run(cfg, p)
+			if !reflect.DeepEqual(clean, pooled) {
+				t.Errorf("%s at %d levels: arena-backed result differs from arena-free run", s, levels)
+			}
 		}
 	}
 	// Run the epoch scheme twice more on the same arena: the epoch

@@ -371,7 +371,7 @@ func runEpoch(m *machine, st *opStream, ipc float64, res *Result) {
 		// with the caches, and a cancelled run abandons its tail.
 		flush()
 	}
-	m.ar.epochCur = m.epochCur
+	m.ar.stampGen = m.epochCur
 	res.Cycles = cyc(coreTime)
 	res.Epochs = sched.Epochs
 	res.BMTNodeUpdates = sched.NodeUpdates

@@ -173,11 +173,11 @@ var _ = []*SchemeSpec{
 		run:       runSP, colocated: true,
 	}),
 	register(SchemeSpec{
-		Scheme:    SchemeTriadSel,
-		Doc:       "Triad-NVM selective persistence: the lowest TriadLevels tree levels persist inline",
-		Guarantee: GuaranteeStrict,
-		Recovery:  recovery.Model{Kind: recovery.KindRebuildTop},
-		run:       runTriadSel,
+		Scheme:       SchemeTriadSel,
+		Doc:          "Triad-NVM selective persistence: the lowest TriadLevels tree levels persist inline",
+		Guarantee:    GuaranteeStrict,
+		Recovery:     recovery.Model{Kind: recovery.KindRebuildTop},
+		run:          runTriadSel,
 		persistDepth: func(c Config) int { return c.TriadLevels },
 		validate: func(c Config) error {
 			if c.TriadLevels < 1 || c.TriadLevels > c.BMTLevels {

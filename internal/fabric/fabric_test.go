@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,11 +160,25 @@ func TestSweepIdenticalToLocal(t *testing.T) {
 
 // TestSweepWorkerDiesMidRun kills one of three workers after its first
 // unit (the connection drops mid-dispatch, like a SIGKILL) and demands
-// the sweep still complete identically.
+// the sweep still complete identically. The two healthy workers hold
+// their first unit until the kill has happened, so they cannot drain
+// the sweep before the dying worker is handed its second unit.
 func TestSweepWorkerDiesMidRun(t *testing.T) {
 	c, srv := newTestCoordinator(t, nil)
-	startWorker(t, srv, nil)
-	startWorker(t, srv, nil)
+	killed := make(chan struct{})
+	var killOnce sync.Once
+	holdUntilKill := func(next http.HandlerFunc) http.HandlerFunc {
+		return func(rw http.ResponseWriter, r *http.Request) {
+			select {
+			case <-killed:
+			case <-r.Context().Done():
+				return
+			}
+			next(rw, r)
+		}
+	}
+	startWorker(t, srv, holdUntilKill)
+	startWorker(t, srv, holdUntilKill)
 	var served atomic.Int32
 	startWorker(t, srv, func(next http.HandlerFunc) http.HandlerFunc {
 		return func(rw http.ResponseWriter, r *http.Request) {
@@ -172,6 +187,7 @@ func TestSweepWorkerDiesMidRun(t *testing.T) {
 				if err == nil {
 					conn.Close()
 				}
+				killOnce.Do(func() { close(killed) })
 				return
 			}
 			next(rw, r)

@@ -27,9 +27,9 @@ var (
 )
 
 // arenaPool shares engine arenas across the fan-out workers: each run
-// borrows one, so a sweep's big hot-path buffers (write-merge table,
-// epoch set, BMT path table — ~100MB each) allocate once per worker
-// instead of once per run. Results are bit-identical either way.
+// borrows one, so the pages of a sweep's hot-path tables (write-merge
+// table, epoch stamps, BMT paths) allocate once per worker instead of
+// once per run. Results are bit-identical either way.
 var arenaPool = sync.Pool{New: func() any { return engine.NewArena() }}
 
 // runPooled executes one simulation with a pooled arena attached.

@@ -76,6 +76,9 @@ func TestSessionErrors(t *testing.T) {
 		{"bad config", []plp.SessionOption{
 			plp.WithBenchmark("gcc"),
 			plp.WithConfig(plp.SimConfig{Scheme: plp.SP, CtrCacheKB: 7})}, "" /* any error */},
+		{"tree too deep to address", []plp.SessionOption{
+			plp.WithBenchmark("gcc"),
+			plp.WithConfig(plp.SimConfig{Scheme: plp.SP, BMTLevels: 21})}, "64-bit"},
 		{"nil context", []plp.SessionOption{
 			plp.WithBenchmark("gcc"), plp.WithContext(nil)}, "WithContext(nil)"},
 	}
