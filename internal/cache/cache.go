@@ -26,14 +26,6 @@ const (
 // Line is an abstract cache line identifier.
 type Line uint64
 
-// line is one way of one set.
-type way struct {
-	tag   Line
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
 // Stats aggregates cache events.
 type Stats struct {
 	Hits       uint64
@@ -54,13 +46,24 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is a set-associative tag store.
+//
+// Ways are stored struct-of-arrays, one block of 2*ways words per set
+// in set order: the set's packed tags, then its packed LRU stamps. A
+// lookup scans only the tags and stops at the hit; only a miss reads
+// the stamps, which sit right after the tags, to pick the victim. A
+// stamp is the LRU clock of the way's last touch shifted left once,
+// with the dirty flag in bit 0, so a way is resident exactly when its
+// stamp is nonzero. A tag is the line plus one (wrapping), so an empty
+// way is the all-zero value (tag 0, stamp 0, clean), make and clear are
+// the only initialisation, and a scan meets tag 0 only for the line
+// 2^64-1.
 type Cache struct {
-	name     string
+	cfg      Config
 	sets     int
 	waysPer  int
-	policy   Policy
+	setMask  uint64
 	lruClock uint64
-	data     []way // sets*waysPer, row-major
+	slots    []uint64 // per set: waysPer tags, then waysPer stamps
 
 	// OnWriteback, if set, is invoked with each dirty line as it is
 	// evicted (write-back policy only).
@@ -78,30 +81,47 @@ type Config struct {
 	Policy    Policy
 }
 
-// New builds a cache. SizeBytes must be a multiple of LineBytes*Ways,
-// and the resulting set count must be a power of two (true for every
-// configuration in the paper's Table III).
-func New(cfg Config) (*Cache, error) {
+// Validate reports whether New would accept cfg, without allocating
+// the tag store.
+func (cfg Config) Validate() error {
+	_, err := cfg.setCount()
+	return err
+}
+
+// setCount checks cfg's geometry and returns its number of sets.
+// SizeBytes must be a multiple of LineBytes*Ways, and the resulting
+// set count must be a power of two (true for every configuration in
+// the paper's Table III).
+func (cfg Config) setCount() (int, error) {
 	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
-		return nil, fmt.Errorf("cache %s: non-positive geometry", cfg.Name)
+		return 0, fmt.Errorf("cache %s: non-positive geometry", cfg.Name)
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	if lines*cfg.LineBytes != cfg.SizeBytes {
-		return nil, fmt.Errorf("cache %s: size %d not a multiple of line %d", cfg.Name, cfg.SizeBytes, cfg.LineBytes)
+		return 0, fmt.Errorf("cache %s: size %d not a multiple of line %d", cfg.Name, cfg.SizeBytes, cfg.LineBytes)
 	}
 	sets := lines / cfg.Ways
 	if sets*cfg.Ways != lines {
-		return nil, fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
+		return 0, fmt.Errorf("cache %s: %d lines not divisible by %d ways", cfg.Name, lines, cfg.Ways)
 	}
 	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
+		return 0, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
+	}
+	return sets, nil
+}
+
+// New builds a cache; cfg must pass Validate.
+func New(cfg Config) (*Cache, error) {
+	sets, err := cfg.setCount()
+	if err != nil {
+		return nil, err
 	}
 	return &Cache{
-		name:    cfg.Name,
+		cfg:     cfg,
 		sets:    sets,
 		waysPer: cfg.Ways,
-		policy:  cfg.Policy,
-		data:    make([]way, sets*cfg.Ways),
+		setMask: uint64(sets - 1),
+		slots:   make([]uint64, 2*sets*cfg.Ways),
 	}, nil
 }
 
@@ -115,8 +135,20 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
+// Reset empties the cache and zeroes its LRU clock and statistics,
+// leaving it as New built it; OnWriteback is kept. It lets a caller
+// reuse one cache across runs of the same geometry.
+func (c *Cache) Reset() {
+	clear(c.slots)
+	c.lruClock = 0
+	c.Stats = Stats{}
+}
+
+// Geometry returns the Config the cache was built from.
+func (c *Cache) Geometry() Config { return c.cfg }
+
 // Name returns the configured cache name.
-func (c *Cache) Name() string { return c.name }
+func (c *Cache) Name() string { return c.cfg.Name }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
@@ -127,48 +159,45 @@ func (c *Cache) Ways() int { return c.waysPer }
 // Capacity returns the number of lines the cache can hold.
 func (c *Cache) Capacity() int { return c.sets * c.waysPer }
 
-func (c *Cache) setOf(l Line) int { return int(uint64(l) & uint64(c.sets-1)) }
+// dirtyBit is the stamp bit holding the way's dirty flag.
+const dirtyBit = 1
 
-func (c *Cache) find(l Line) *way {
-	base := c.setOf(l) * c.waysPer
-	for i := 0; i < c.waysPer; i++ {
-		w := &c.data[base+i]
-		if w.valid && w.tag == l {
-			return w
+// setBase returns the index in slots of the first tag of l's set.
+func (c *Cache) setBase(l Line) int { return int(uint64(l)&c.setMask) * 2 * c.waysPer }
+
+// index returns the slot of the tag of l's way, or -1 if l is not
+// resident (the way's stamp is waysPer slots further). It scans only
+// the set's tags and stops at the hit.
+func (c *Cache) index(l Line) int {
+	tag := uint64(l) + 1
+	base := c.setBase(l)
+	for i, t := range c.slots[base : base+c.waysPer] {
+		// Empty ways share tag 0 with the line 2^64-1; its way is the
+		// one with a nonzero stamp.
+		if t == tag && (t != 0 || c.slots[base+c.waysPer+i] != 0) {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// victim returns the way to fill in l's set: an invalid way if any,
-// else the LRU way.
-func (c *Cache) victim(l Line) *way {
-	base := c.setOf(l) * c.waysPer
-	var v *way
-	for i := 0; i < c.waysPer; i++ {
-		w := &c.data[base+i]
-		if !w.valid {
-			return w
-		}
-		if v == nil || w.lru < v.lru {
-			v = w
-		}
-	}
-	return v
-}
-
-func (c *Cache) touch(w *way) {
+// touch makes the way whose tag is at slot i the most recently used,
+// keeping its dirty flag.
+func (c *Cache) touch(i int) {
 	c.lruClock++
-	w.lru = c.lruClock
+	st := &c.slots[i+c.waysPer]
+	*st = c.lruClock<<1 | *st&dirtyBit
 }
+
+func (c *Cache) isDirty(i int) bool { return c.slots[i+c.waysPer]&dirtyBit != 0 }
 
 // Contains reports whether l is present, without updating LRU or stats.
-func (c *Cache) Contains(l Line) bool { return c.find(l) != nil }
+func (c *Cache) Contains(l Line) bool { return c.index(l) >= 0 }
 
 // Dirty reports whether l is present and dirty.
 func (c *Cache) Dirty(l Line) bool {
-	w := c.find(l)
-	return w != nil && w.dirty
+	i := c.index(l)
+	return i >= 0 && c.isDirty(i)
 }
 
 // Access performs a read (write=false) or write (write=true) of line l,
@@ -180,11 +209,11 @@ func (c *Cache) Access(l Line, write bool) (hit bool) {
 	} else {
 		c.Stats.Reads++
 	}
-	if w := c.find(l); w != nil {
+	if i := c.index(l); i >= 0 {
 		c.Stats.Hits++
-		c.touch(w)
-		if write && c.policy == WriteBack {
-			w.dirty = true
+		c.touch(i)
+		if write && c.cfg.Policy == WriteBack {
+			c.slots[i+c.waysPer] |= dirtyBit
 		}
 		return true
 	}
@@ -193,32 +222,49 @@ func (c *Cache) Access(l Line, write bool) (hit bool) {
 	return false
 }
 
-// fill inserts l, evicting as needed.
+// fill inserts the non-resident line l, evicting as needed. The
+// victim is the set's first empty way, else its least recently used
+// one. Empty ways are exactly those stamped 0, and resident ways
+// carry distinct clocks of at least 1 (the dirty bit sits below the
+// clock and cannot reorder them), so both cases are the first way
+// with the set's lowest stamp.
 func (c *Cache) fill(l Line, write bool) {
-	v := c.victim(l)
-	if v.valid {
+	base := c.setBase(l)
+	stamps := c.slots[base+c.waysPer : base+2*c.waysPer]
+	v := lowest(stamps)
+	low := stamps[v]
+	if low != 0 {
 		c.Stats.Evictions++
-		if v.dirty {
+		if low&dirtyBit != 0 {
 			c.Stats.Writebacks++
 			if c.OnWriteback != nil {
-				c.OnWriteback(v.tag)
+				c.OnWriteback(Line(c.slots[base+v] - 1))
 			}
 		}
 	}
-	v.valid = true
-	v.tag = l
-	v.dirty = write && c.policy == WriteBack
-	c.touch(v)
+	c.slots[base+v] = uint64(l) + 1
+	c.lruClock++
+	stamps[v] = c.lruClock << 1
+	if write && c.cfg.Policy == WriteBack {
+		stamps[v] |= dirtyBit
+	}
 }
 
-// Insert fills l without counting an access (e.g. prefetch or fill
-// from a verification path).
-func (c *Cache) Insert(l Line) {
-	if w := c.find(l); w != nil {
-		c.touch(w)
-		return
+// lowest returns the index of the first of the smallest stamps. It
+// finds the minimum with branch-free min and then its first position,
+// instead of tracking the position in one pass, whose branch on every
+// new minimum the CPU cannot predict for LRU stamps.
+func lowest(stamps []uint64) int {
+	low := stamps[0]
+	for _, s := range stamps[1:] {
+		low = min(low, s)
 	}
-	c.fill(l, false)
+	for i, s := range stamps {
+		if s == low {
+			return i
+		}
+	}
+	panic("unreachable")
 }
 
 // WritebackFill receives a dirty line evicted from the level above in
@@ -226,7 +272,7 @@ func (c *Cache) Insert(l Line) {
 // marked dirty, without counting as a demand access. Displaced dirty
 // victims flow to OnWriteback as usual.
 func (c *Cache) WritebackFill(l Line) {
-	if c.policy != WriteBack {
+	if c.cfg.Policy != WriteBack {
 		// A write-through level propagates immediately; the caller's
 		// OnWriteback wiring handles the next level.
 		if c.OnWriteback != nil {
@@ -234,9 +280,9 @@ func (c *Cache) WritebackFill(l Line) {
 		}
 		return
 	}
-	if w := c.find(l); w != nil {
-		c.touch(w)
-		w.dirty = true
+	if i := c.index(l); i >= 0 {
+		c.touch(i)
+		c.slots[i+c.waysPer] |= dirtyBit
 		return
 	}
 	c.fill(l, true)
@@ -245,39 +291,46 @@ func (c *Cache) WritebackFill(l Line) {
 // CleanLine clears l's dirty bit if present (e.g. after an explicit
 // flush persisted it).
 func (c *Cache) CleanLine(l Line) {
-	if w := c.find(l); w != nil {
-		w.dirty = false
+	if i := c.index(l); i >= 0 {
+		c.slots[i+c.waysPer] &^= dirtyBit
 	}
 }
 
 // Invalidate removes l, returning whether it was present and dirty.
 // The dirty line is NOT delivered to OnWriteback; the caller decides.
 func (c *Cache) Invalidate(l Line) (wasDirty bool) {
-	if w := c.find(l); w != nil {
-		wasDirty = w.dirty
-		w.valid = false
-		w.dirty = false
+	if i := c.index(l); i >= 0 {
+		wasDirty = c.isDirty(i)
+		c.slots[i], c.slots[i+c.waysPer] = 0, 0
 	}
 	return wasDirty
+}
+
+// forEach calls f with the tag slot of every resident way, in set
+// then way order.
+func (c *Cache) forEach(f func(i int)) {
+	for base := 0; base < len(c.slots); base += 2 * c.waysPer {
+		for i := base; i < base+c.waysPer; i++ {
+			if c.slots[i+c.waysPer] != 0 {
+				f(i)
+			}
+		}
+	}
 }
 
 // FlushAll evicts every line, delivering dirty ones to OnWriteback.
 // Used to drain write-back caches at epoch or simulation end.
 func (c *Cache) FlushAll() {
-	for i := range c.data {
-		w := &c.data[i]
-		if w.valid {
-			c.Stats.Evictions++
-			if w.dirty {
-				c.Stats.Writebacks++
-				if c.OnWriteback != nil {
-					c.OnWriteback(w.tag)
-				}
+	c.forEach(func(i int) {
+		c.Stats.Evictions++
+		if c.isDirty(i) {
+			c.Stats.Writebacks++
+			if c.OnWriteback != nil {
+				c.OnWriteback(Line(c.slots[i] - 1))
 			}
-			w.valid = false
-			w.dirty = false
 		}
-	}
+		c.slots[i], c.slots[i+c.waysPer] = 0, 0
+	})
 }
 
 // DirtyLines returns all dirty lines currently resident (in no
@@ -285,21 +338,17 @@ func (c *Cache) FlushAll() {
 // updates that will be lost.
 func (c *Cache) DirtyLines() []Line {
 	var out []Line
-	for i := range c.data {
-		if c.data[i].valid && c.data[i].dirty {
-			out = append(out, c.data[i].tag)
+	c.forEach(func(i int) {
+		if c.isDirty(i) {
+			out = append(out, Line(c.slots[i]-1))
 		}
-	}
+	})
 	return out
 }
 
 // ResidentLines returns all valid lines (for tests and debugging).
 func (c *Cache) ResidentLines() []Line {
 	var out []Line
-	for i := range c.data {
-		if c.data[i].valid {
-			out = append(out, c.data[i].tag)
-		}
-	}
+	c.forEach(func(i int) { out = append(out, Line(c.slots[i]-1)) })
 	return out
 }

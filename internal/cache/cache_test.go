@@ -163,17 +163,6 @@ func TestCleanLine(t *testing.T) {
 	}
 }
 
-func TestInsertDoesNotCountAccess(t *testing.T) {
-	c := small(WriteBack)
-	c.Insert(3)
-	if c.Stats.Hits+c.Stats.Misses != 0 {
-		t.Fatalf("Insert counted as access: %+v", c.Stats)
-	}
-	if !c.Contains(3) {
-		t.Fatal("Insert did not fill")
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	c := small(WriteBack)
 	if c.Stats.HitRate() != 0 {
@@ -264,20 +253,6 @@ func BenchmarkAccess(b *testing.B) {
 func TestNameAccessor(t *testing.T) {
 	if small(WriteBack).Name() != "t" {
 		t.Fatal("Name accessor wrong")
-	}
-}
-
-func TestInsertTouchesExisting(t *testing.T) {
-	c := small(WriteBack)
-	c.Access(0, true)
-	c.Access(4, false) // set 0 now: 0 (LRU-ish), 4
-	c.Insert(0)        // touch 0 → 4 becomes LRU
-	c.Access(8, false) // evicts 4
-	if !c.Contains(0) || c.Contains(4) {
-		t.Fatal("Insert did not refresh LRU position")
-	}
-	if !c.Dirty(0) {
-		t.Fatal("Insert cleared the dirty bit")
 	}
 }
 

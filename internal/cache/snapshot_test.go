@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -83,5 +84,30 @@ func TestRestoreRejectsGeometryMismatch(t *testing.T) {
 	}
 	if snap.Bytes() == 0 {
 		t.Fatal("snapshot reports zero footprint")
+	}
+}
+
+// TestSnapshotBytesMatchesAllocation pins the snapshot byte
+// accounting to the way layout: snapshotting a 4 MB/32-way LLC
+// allocates what Bytes reports, to within 8 KB of allocator and
+// runtime overhead (the array-of-structs layout's 24-byte ways would
+// be 450 KB off).
+func TestSnapshotBytesMatchesAllocation(t *testing.T) {
+	c := MustNew(Config{Name: "llc", SizeBytes: 4 << 20, LineBytes: 64, Ways: 32, Policy: WriteBack})
+	for l := Line(0); l < 70_000; l++ {
+		c.Access(l*7, l%3 == 0)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := c.Snapshot()
+	runtime.ReadMemStats(&after)
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	want := int64(c.Capacity()) * (8 + 8) // tag, LRU stamp with the dirty flag
+	if got := int64(snap.Bytes()); got < want || got-want > 256 {
+		t.Fatalf("Bytes() = %d for %d ways, want %d plus the header", got, c.Capacity(), want)
+	}
+	if diff := alloc - int64(snap.Bytes()); diff < -8<<10 || diff > 8<<10 {
+		t.Fatalf("snapshot allocated %d bytes, Bytes() reports %d", alloc, snap.Bytes())
 	}
 }

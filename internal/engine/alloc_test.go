@@ -75,6 +75,53 @@ func TestDeepTreeRunMemory(t *testing.T) {
 	}
 }
 
+// TestWarmPooledRunAllocation bounds what a run allocates once its
+// arena is warm: the caches, tables and batch buffer are all reused,
+// so a 200k-instruction run of any scheme allocates under 256 KB
+// (a fresh run builds ~1.3 MB of tag stores).
+func TestWarmPooledRunAllocation(t *testing.T) {
+	p, _ := trace.ProfileByName("gcc")
+	const limit = 256 << 10
+	for _, s := range AllSchemes() {
+		ar := NewArena()
+		cfg := Config{Scheme: s, Instructions: 200_000, Arena: ar}
+		Run(cfg, p)
+		if got := bytesForRun(cfg, p); got > limit {
+			t.Errorf("%s: a warm pooled run allocated %d KB, want under %d KB", s, got>>10, limit>>10)
+		}
+	}
+}
+
+// bytesForRun measures the bytes one simulation allocates.
+func bytesForRun(cfg Config, p trace.Profile) uint64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Run(cfg, p)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestValidateAllocatesNoTagStore pins that Validate checks the cache
+// geometries without building the caches: at the defaults, and for a
+// 16 GB LLC whose tag store would be gigabytes, it allocates under
+// 64 KB.
+func TestValidateAllocatesNoTagStore(t *testing.T) {
+	for _, cfg := range []Config{{}, {LLCKB: 16 << 20}} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := cfg.Validate()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("LLCKB=%d: Validate allocated %d KB, want under 64 KB", cfg.LLCKB, got>>10)
+		}
+	}
+}
+
 // BenchmarkEngineStoreLoop measures the per-scheme hot loop: one full
 // simulation per iteration on a pooled arena, so steady-state cost
 // (not setup) dominates. b.ReportAllocs surfaces the alloc count the

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"plp/internal/bmt"
+	"plp/internal/cache"
+	"plp/internal/hier"
 	"plp/internal/paged"
 	"plp/internal/sim"
 	"plp/internal/trace"
@@ -10,13 +12,14 @@ import (
 // Arena holds the reusable buffers of a run's hot path: the
 // write-merge table (one cycle per data, counter and MAC line), the
 // epoch-membership generation stamps (one per trace block), the BMT
-// path table, and the trace batch buffer. The first three are paged
-// tables (package paged): they are indexed across the whole modelled
-// memory but allocate 4 KB pages only where a run touches, so a run's
-// memory follows the lines it touches and not the tree depth. Sweeps
-// that execute many runs back to back hand the same arena to each
-// Config so the pages allocate once per worker instead of once per
-// run; results are bit-identical with or without one.
+// path table, the trace batch buffer, and the six caches. The first
+// three are paged tables (package paged): they are indexed across the
+// whole modelled memory but allocate 4 KB pages only where a run
+// touches, so a run's memory follows the lines it touches and not the
+// tree depth. Sweeps that execute many runs back to back hand the same
+// arena to each Config so the pages and tag stores allocate once per
+// worker instead of once per run; results are bit-identical with or
+// without one.
 //
 // An arena is not safe for concurrent use: at most one run may use it
 // at a time. The zero value is ready to use.
@@ -26,6 +29,11 @@ type Arena struct {
 	stampGen uint32
 	paths    bmt.PathTable
 	ops      []trace.Op
+
+	// The run's caches: the L1/L2/LLC data hierarchy and the counter,
+	// MAC and BMT caches, reused while their geometry matches.
+	data          *hier.Hierarchy
+	ctr, mac, bmt *cache.Cache
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
@@ -65,4 +73,26 @@ func (a *Arena) opBuf(n int) []trace.Op {
 func (a *Arena) pathTable(t *bmt.Topology, n uint64) *bmt.PathTable {
 	a.paths.Reuse(t, n)
 	return &a.paths
+}
+
+// reuseCache returns *slot emptied when it has geo's geometry, else a
+// new cache of that geometry stored in *slot.
+func reuseCache(slot **cache.Cache, geo cache.Config) *cache.Cache {
+	if c := *slot; c != nil && c.Geometry() == geo {
+		c.Reset()
+		return c
+	}
+	*slot = cache.MustNew(geo)
+	return *slot
+}
+
+// hierarchy returns the arena's Table III data hierarchy emptied when
+// its LLC has the given capacity and associativity, else a new one.
+func (a *Arena) hierarchy(llcKB, llcWays int) *hier.Hierarchy {
+	if a.data != nil && a.data.Levels()[2].Geometry() == hier.DefaultLevels(llcKB, llcWays)[2] {
+		a.data.Reset()
+		return a.data
+	}
+	a.data = hier.Default(llcKB, llcWays)
+	return a.data
 }

@@ -88,7 +88,12 @@ func TestValidate(t *testing.T) {
 		{FlushCyclesPerLine: -1},
 		{MDCWays: -8},
 		{CtrCacheKB: 7}, // 7KB/8-way: set count not a power of two
+		{MACCacheKB: 7},
+		{BMTCacheKB: 7},
+		{MDCWays: 3}, // 64 lines not divisible by 3 ways
 		{LLCKB: 3},
+		{LLCWays: 3},
+		{LLCKB: -4096},
 		{BMTLevels: 21}, // Leaves()*BlocksPerPage overflows uint64
 	}
 	for _, cfg := range bad {

@@ -59,7 +59,7 @@ func NewCheckpointSource(cfg Config, bench string, seed uint64, ipc float64, src
 		ipc:   ipc,
 	}
 	data := hier.Default(cfg.LLCKB, cfg.LLCWays)
-	ctr := newMDC("ctr", cfg.CtrCacheKB, cfg.MDCWays)
+	ctr := cache.MustNew(mdcConfig("ctr", cfg.CtrCacheKB, cfg.MDCWays))
 	// The stream must run under the full-run limit (warm-up never
 	// reaches it, and batch fill boundaries are position-invariant), so
 	// the captured pending ops splice seamlessly into a resumed run.

@@ -428,13 +428,13 @@ const mergeWindow sim.Cycle = 1000
 
 const kb = 1024
 
-// newMDC builds one of the discrete metadata caches (counter, MAC,
-// BMT) with the given capacity and associativity.
-func newMDC(name string, kbs, ways int) *cache.Cache {
-	return cache.MustNew(cache.Config{
+// mdcConfig is the geometry of one of the discrete metadata caches
+// (counter, MAC, BMT) with the given capacity and associativity.
+func mdcConfig(name string, kbs, ways int) cache.Config {
+	return cache.Config{
 		Name: name, SizeBytes: kbs * kb, LineBytes: addr.BlockBytes,
 		Ways: ways, Policy: cache.WriteBack,
-	})
+	}
 }
 
 func newMachine(cfg Config, opts RunOptions) *machine {
@@ -456,10 +456,10 @@ func newMachine(cfg Config, opts RunOptions) *machine {
 	}
 	m.macPipe = sim.Resource{Latency: cfg.MACLatency, Initiation: 1}
 	m.macVerify = sim.Resource{Latency: cfg.MACLatency, Initiation: 1}
-	m.ctrCache = newMDC("ctr", cfg.CtrCacheKB, cfg.MDCWays)
-	m.macCache = newMDC("mac", cfg.MACCacheKB, cfg.MDCWays)
-	m.bmtCache = newMDC("bmt", cfg.BMTCacheKB, cfg.MDCWays)
-	m.data = hier.Default(cfg.LLCKB, cfg.LLCWays)
+	m.ctrCache = reuseCache(&m.ar.ctr, mdcConfig("ctr", cfg.CtrCacheKB, cfg.MDCWays))
+	m.macCache = reuseCache(&m.ar.mac, mdcConfig("mac", cfg.MACCacheKB, cfg.MDCWays))
+	m.bmtCache = reuseCache(&m.ar.bmt, mdcConfig("bmt", cfg.BMTCacheKB, cfg.MDCWays))
+	m.data = m.ar.hierarchy(cfg.LLCKB, cfg.LLCWays)
 	m.aliasBlocks = uint64(trace.TotalBlocks)
 	if covered := m.topo.Leaves() * addr.BlocksPerPage; m.aliasBlocks > covered {
 		m.aliasBlocks = covered
@@ -804,6 +804,6 @@ func (m *machine) measure(st *opStream, bench string, ipc float64) Result {
 
 // mustPersist reports whether a store persists under the protection
 // mode (all stores in full-memory mode; non-stack stores otherwise).
-func (cfg Config) mustPersist(op trace.Op) bool {
+func (cfg *Config) mustPersist(op trace.Op) bool {
 	return op.Kind == trace.OpStore && (cfg.FullMemory || !op.Stack)
 }

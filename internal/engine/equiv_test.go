@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"plp/internal/telemetry"
@@ -54,6 +55,38 @@ func TestArenaEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(clean, pooled) {
 				t.Errorf("%s at %d levels: arena-backed result differs from arena-free run", s, levels)
 			}
+		}
+	}
+	// Change the cache geometries between runs on the same arena: each
+	// run must rebuild or reset the arena's caches to match a fresh
+	// run exactly. The caches are small enough to evict within the
+	// run, so a cache of the wrong geometry changes the result.
+	geos := []Config{
+		{LLCKB: 256},
+		{LLCKB: 256, LLCWays: 16},
+		{},
+		{LLCKB: 256, MDCWays: 4, CtrCacheKB: 16, MACCacheKB: 16, BMTCacheKB: 16},
+		{LLCKB: 256, MDCWays: 2, CtrCacheKB: 16, MACCacheKB: 16, BMTCacheKB: 16},
+		{MDCWays: 4},
+		{},
+	}
+	for _, s := range []Scheme{SchemeSecureWB, SchemeSP, SchemeCoalescing} {
+		var distinct []Result
+		for _, geo := range geos {
+			cfg := geo
+			cfg.Scheme, cfg.Instructions = s, 60_000
+			clean := Run(cfg, p)
+			if !slices.ContainsFunc(distinct, func(r Result) bool { return reflect.DeepEqual(r, clean) }) {
+				distinct = append(distinct, clean)
+			}
+			cfg.Arena = ar
+			if pooled := Run(cfg, p); !reflect.DeepEqual(clean, pooled) {
+				t.Errorf("%s at LLC %d KB/%d ways, MDC %d ways: arena-backed result differs from arena-free run",
+					s, geo.LLCKB, geo.LLCWays, geo.MDCWays)
+			}
+		}
+		if len(distinct) < 3 {
+			t.Errorf("%s: the cache geometries gave only %d distinct results; the check above cannot tell caches apart", s, len(distinct))
 		}
 	}
 	// Run the epoch scheme twice more on the same arena: the epoch

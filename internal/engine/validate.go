@@ -3,9 +3,9 @@ package engine
 import (
 	"fmt"
 
-	"plp/internal/addr"
 	"plp/internal/bmt"
 	"plp/internal/cache"
+	"plp/internal/hier"
 )
 
 // Validate reports why cfg cannot run, as an error, instead of letting
@@ -46,29 +46,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: MDCWays must be >= 1, got %d", c.MDCWays)
 	}
 	// The cache geometries must be constructible (size a multiple of
-	// line*ways, power-of-two set count); reuse the cache package's own
-	// constructor checks so the rules cannot drift.
-	mdc := func(name string, kbs int) error {
-		_, err := cache.New(cache.Config{
-			Name: name, SizeBytes: kbs * kb, LineBytes: addr.BlockBytes,
-			Ways: c.MDCWays, Policy: cache.WriteBack,
-		})
-		return err
-	}
-	if err := mdc("ctr", c.CtrCacheKB); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := mdc("mac", c.MACCacheKB); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := mdc("bmt", c.BMTCacheKB); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if _, err := cache.New(cache.Config{
-		Name: "llc", SizeBytes: c.LLCKB * kb, LineBytes: addr.BlockBytes,
-		Ways: c.LLCWays, Policy: cache.WriteBack,
-	}); err != nil {
-		return fmt.Errorf("engine: %w", err)
+	// line*ways, power-of-two set count); the cache package's own
+	// geometry check, which New runs too, keeps the rules from
+	// drifting without allocating a tag store.
+	for _, geo := range []cache.Config{
+		mdcConfig("ctr", c.CtrCacheKB, c.MDCWays),
+		mdcConfig("mac", c.MACCacheKB, c.MDCWays),
+		mdcConfig("bmt", c.BMTCacheKB, c.MDCWays),
+		hier.DefaultLevels(c.LLCKB, c.LLCWays)[2],
+	} {
+		if err := geo.Validate(); err != nil {
+			return fmt.Errorf("engine: %w", err)
+		}
 	}
 	return nil
 }

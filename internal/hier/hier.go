@@ -53,17 +53,32 @@ func MustNew(levels ...*cache.Cache) *Hierarchy {
 // Default builds the paper's Table III data hierarchy with the given
 // LLC capacity (KB) and associativity.
 func Default(llcKB, llcWays int) *Hierarchy {
-	mk := func(name string, kb, ways int) *cache.Cache {
-		return cache.MustNew(cache.Config{
+	geo := DefaultLevels(llcKB, llcWays)
+	return MustNew(cache.MustNew(geo[0]), cache.MustNew(geo[1]), cache.MustNew(geo[2]))
+}
+
+// DefaultLevels returns the level geometries Default builds, nearest
+// first: L1 64KB/8-way, L2 512KB/16-way, and the given LLC, all
+// write-back with 64B lines.
+func DefaultLevels(llcKB, llcWays int) [3]cache.Config {
+	mk := func(name string, kb, ways int) cache.Config {
+		return cache.Config{
 			Name: name, SizeBytes: kb << 10, LineBytes: 64,
 			Ways: ways, Policy: cache.WriteBack,
-		})
+		}
 	}
-	return MustNew(
-		mk("l1", 64, 8),
-		mk("l2", 512, 16),
-		mk("llc", llcKB, llcWays),
-	)
+	return [3]cache.Config{mk("l1", 64, 8), mk("l2", 512, 16), mk("llc", llcKB, llcWays)}
+}
+
+// Reset empties every level and zeroes the statistics, leaving the
+// hierarchy as New composed it, and drops OnMemWriteback. The level
+// wiring is kept, so a caller can reuse one hierarchy across runs.
+func (h *Hierarchy) Reset() {
+	for _, c := range h.levels {
+		c.Reset()
+	}
+	h.MemReads = 0
+	h.OnMemWriteback = nil
 }
 
 // Levels returns the composed caches, nearest first.
@@ -73,17 +88,16 @@ func (h *Hierarchy) Levels() []*cache.Cache { return h.levels }
 // It returns the depth at which the line hit (0 = L1), or len(levels)
 // for a memory access.
 func (h *Hierarchy) Access(l cache.Line, write bool) int {
+	// Every level above a hit missed and filled the line in its own
+	// Access, as its most recently used way; the levels below it only
+	// receive writebacks, which never reach back up. So the line is
+	// resident and MRU at every level above the hit, and the walk
+	// simply stops there.
 	for depth, c := range h.levels {
 		if c.Access(l, write && depth == 0) {
-			// Hit at this depth: fill the levels above.
-			for up := depth - 1; up >= 0; up-- {
-				h.levels[up].Insert(l)
-			}
 			return depth
 		}
 	}
-	// Missed everywhere; every level has already filled the line via
-	// its own Access call.
 	h.MemReads++
 	return len(h.levels)
 }

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"reflect"
 	"testing"
 
 	"plp/internal/cache"
@@ -168,5 +169,83 @@ func BenchmarkAccess(b *testing.B) {
 	r := xrand.New(2)
 	for i := 0; i < b.N; i++ {
 		h.Access(cache.Line(r.Intn(1<<18)), i%4 == 0)
+	}
+}
+
+// mruAt reports whether l is the most recently used line of its set
+// in c, whose sets are all full: on a private copy, l must survive
+// ways-1 fills of new lines into its set and fall to the next one.
+func mruAt(t *testing.T, c *cache.Cache, l cache.Line) bool {
+	t.Helper()
+	cp := cache.MustNew(c.Geometry())
+	if err := cp.Restore(c.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	fresh := l + 1<<40 // same set, never accessed by the test stream
+	for i := 0; i < cp.Ways()-1; i++ {
+		cp.Access(fresh+cache.Line(i*cp.Sets()), false)
+	}
+	if !cp.Contains(l) {
+		return false
+	}
+	cp.Access(fresh+cache.Line((cp.Ways()-1)*cp.Sets()), false)
+	return !cp.Contains(l)
+}
+
+// TestHitLeavesLineMRUAbove pins what lets Access stop at the hit:
+// after a hit at depth d, the line is resident and the most recently
+// used line of its set at every level above d, because each of those
+// levels filled it in its own missed Access.
+func TestHitLeavesLineMRUAbove(t *testing.T) {
+	h := tiny(t)
+	r := xrand.New(7)
+	// Fill every set at every level first.
+	for i := 0; i < 2000; i++ {
+		h.Access(cache.Line(r.Intn(256)), r.Intn(3) == 0)
+	}
+	seen := map[int]int{}
+	for i := 0; i < 4000; i++ {
+		l := cache.Line(r.Intn(256))
+		d := h.Access(l, r.Intn(3) == 0)
+		seen[d]++
+		for up := 0; up < d && up < len(h.Levels()); up++ {
+			if c := h.Levels()[up]; !c.Contains(l) || !mruAt(t, c, l) {
+				t.Fatalf("access %d: line %d hit at depth %d is not MRU at level %d", i, l, d, up)
+			}
+		}
+	}
+	for d := 1; d <= len(h.Levels()); d++ {
+		if seen[d] == 0 {
+			t.Fatalf("stream never hit at depth %d: %v", d, seen)
+		}
+	}
+}
+
+// TestResetMatchesFresh pins that a reset hierarchy replays an access
+// stream exactly as a freshly built one does.
+func TestResetMatchesFresh(t *testing.T) {
+	run := func(h *Hierarchy) (uint64, []cache.Line, []cache.Stats) {
+		var wb []cache.Line
+		h.OnMemWriteback = func(l cache.Line) { wb = append(wb, l) }
+		r := xrand.New(3)
+		for i := 0; i < 5000; i++ {
+			h.Access(cache.Line(r.Intn(512)), r.Intn(2) == 0)
+		}
+		var st []cache.Stats
+		for _, c := range h.Levels() {
+			st = append(st, c.Stats)
+		}
+		return h.MemReads, wb, st
+	}
+	used := tiny(t)
+	run(used)
+	used.Reset()
+	if used.OnMemWriteback != nil || used.MemReads != 0 {
+		t.Fatal("Reset kept the memory-side hook or counter")
+	}
+	m1, wb1, st1 := run(tiny(t))
+	m2, wb2, st2 := run(used)
+	if m1 != m2 || !reflect.DeepEqual(wb1, wb2) || !reflect.DeepEqual(st1, st2) {
+		t.Fatal("a reset hierarchy diverges from a fresh one")
 	}
 }

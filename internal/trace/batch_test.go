@@ -1,6 +1,10 @@
 package trace
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // TestFillMatchesNext verifies the batched producer is bit-identical
 // to per-op pulls: same op sequence, same Progress accounting, same
@@ -101,4 +105,28 @@ func BenchmarkTraceGen(b *testing.B) {
 			n += g.Fill(buf, 1<<62)
 		}
 	})
+}
+
+// TestBatchBytesMatchesAllocation pins that Op packs into 16 bytes,
+// that MaterializeBatch allocates its op slice once (no append
+// doubling), and that Batch.Bytes reports that slice: a 2M-instruction
+// batch's whole allocation is within a few KB (the generator) of
+// Bytes.
+func TestBatchBytesMatchesAllocation(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 16 {
+		t.Fatalf("Op is %d bytes, want 16", got)
+	}
+	p, _ := ProfileByName("gcc")
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := MaterializeBatch(p, 2_000_000)
+	runtime.ReadMemStats(&after)
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	if b.Ops() > cap(b.ops) || cap(b.ops) > b.Ops()+b.Ops()/50+64 {
+		t.Fatalf("op slice holds %d ops in capacity %d", b.Ops(), cap(b.ops))
+	}
+	if diff := alloc - int64(b.Bytes()); diff < 0 || diff > 32<<10 {
+		t.Fatalf("materializing allocated %d bytes, Bytes() reports %d", alloc, b.Bytes())
+	}
 }

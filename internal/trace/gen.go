@@ -18,13 +18,15 @@ const (
 )
 
 // Op is one memory operation of the synthetic instruction stream.
+//
+// The fields are ordered widest first, so an Op packs into 16 bytes.
 type Op struct {
+	// Block is the 64B block accessed.
+	Block addr.Block
 	// Gap is the number of non-memory instructions preceding this op.
 	Gap uint32
 	// Kind is the operation type.
 	Kind OpKind
-	// Block is the 64B block accessed.
-	Block addr.Block
 	// Stack marks stores to the stack segment (not persisted in the
 	// paper's default protection mode).
 	Stack bool
@@ -135,6 +137,14 @@ func (g *Generator) setRepeatScale(s float64) {
 		p = 0
 	}
 	g.pRepeat = p
+}
+
+// expectedOps returns a capacity that holds the ops of an
+// instruction budget: one op per meanGap+1 instructions on average,
+// plus a 1% margin, which is many standard deviations of the op count
+// for any budget worth materializing, so the slice is allocated once.
+func (g *Generator) expectedOps(instructions uint64) int {
+	return int(float64(instructions)/(g.meanGap+1)*1.01) + 64
 }
 
 // Profile returns the generating profile.

@@ -48,7 +48,10 @@ type Batch struct {
 // to what a fresh Generator hands a run of the same budget.
 func MaterializeBatch(p Profile, instructions uint64) *Batch {
 	g := NewGenerator(p)
-	b := &Batch{key: Key{Bench: p.Name, Seed: p.Seed, Instructions: instructions}}
+	b := &Batch{
+		key: Key{Bench: p.Name, Seed: p.Seed, Instructions: instructions},
+		ops: make([]Op, 0, g.expectedOps(instructions)),
+	}
 	// Mirror Generator.Fill's stopping rule: produce while the
 	// instruction count is below the budget.
 	for g.Instructions < instructions {
@@ -65,8 +68,9 @@ func (b *Batch) Key() Key { return b.key }
 // Ops returns the number of materialized operations.
 func (b *Batch) Ops() int { return len(b.ops) }
 
-// Bytes returns the batch's approximate memory footprint.
-func (b *Batch) Bytes() uint64 { return uint64(len(b.ops))*opBytes + 512 }
+// Bytes returns the batch's approximate memory footprint: its op
+// slice as allocated plus a fixed allowance for the rest.
+func (b *Batch) Bytes() uint64 { return uint64(cap(b.ops))*opBytes + 512 }
 
 // Replay returns a fresh Source over the batch, positioned at the
 // start. Replays are independent; a batch serves any number of

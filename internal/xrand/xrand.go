@@ -96,34 +96,104 @@ func (r *RNG) Bool(p float64) bool {
 // large means, unlike trial-by-trial rejection. m must be >= 1.
 //
 // Samplers drawing many values at one fixed mean should use NewGeom,
-// which hoists the constant log(1-p) out of the per-sample path while
-// producing the bit-identical sample stream.
+// which hoists the constant log(1-p) out of the per-sample path and
+// serves most draws from a table, while producing the bit-identical
+// sample stream.
 func (r *RNG) Geometric(m float64) int {
-	return NewGeom(m).Sample(r)
+	g := Geom{logQ: logQ(m)}
+	if g.logQ == 0 {
+		return 1
+	}
+	return g.logPath(r.Uint64() >> 11)
 }
 
-// Geom is a geometric sampler with a precomputed denominator for a
-// fixed mean: Sample costs one RNG draw and one math.Log instead of
-// two. The zero value is a degenerate sampler that always returns 1.
+// geomCuts is the number of small samples Geom serves from its table;
+// at the trace generator's gap means (2-3) they cover 96% or more of
+// the draws.
+const geomCuts = 8
+
+// Geom is a geometric sampler for a fixed mean. The zero value is a
+// degenerate sampler that always returns 1.
+//
+// Sample maps one 53-bit draw d to the inverse-transform sample
+// f(d) = int(log(u)/log(1-p)) + 1, with u = d/2^53 — the log path.
+// f is non-increasing in d: the conversion to u is exact, and IEEE
+// division and truncation are monotone, so only math.Log could break
+// the order, and it is within 1 ulp. Such an error can move f only
+// where log(u)/log(1-p) lies within a few ulps of an integer, that is
+// at draws next to a point where f steps down; the table's steps are
+// its cuts, and TestGeomTableMatchesLogPath checks every draw within
+// 4096 of each cut against the log path. NewGeom finds the
+// cuts by bisection on the log path itself, so below each cut f is
+// greater and from it on f is at most the table's value: for every
+// draw at or beyond the last cut, f(d) is one plus the number of cuts
+// above d, counted without a branch or a logarithm. Smaller draws,
+// the geometric tail (under 4% of draws at mean 3), take the log path
+// itself. The sample stream and the RNG draws consumed are therefore
+// exactly the log path's.
 type Geom struct {
 	logQ float64 // math.Log(1 - 1/m); 0 marks the m <= 1 degenerate case
+	// cut[k] is the smallest draw whose log-path sample is at most
+	// k+1 (2^53 if none is).
+	cut [geomCuts]uint64
+}
+
+// logQ returns math.Log(1 - 1/m), or 0 for the degenerate m <= 1.
+func logQ(m float64) float64 {
+	if m <= 1 {
+		return 0
+	}
+	return math.Log(1 - 1/m)
 }
 
 // NewGeom builds a sampler for mean m (trials up to and including the
 // first success). Sample(r) returns exactly what r.Geometric(m) would.
 func NewGeom(m float64) Geom {
-	if m <= 1 {
-		return Geom{}
+	g := Geom{logQ: logQ(m)}
+	if g.logQ == 0 {
+		return g
 	}
-	return Geom{logQ: math.Log(1 - 1/m)}
+	hi := uint64(1 << 53)
+	for k := range g.cut {
+		// f is non-increasing, so the cuts are too: search below the
+		// previous one for the first draw with f(d) <= k+1.
+		lo := uint64(0)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if g.logPath(mid) <= k+1 {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		g.cut[k] = lo
+	}
+	return g
 }
 
 // Sample draws one geometric sample from r.
-func (g Geom) Sample(r *RNG) int {
+func (g *Geom) Sample(r *RNG) int {
 	if g.logQ == 0 {
 		return 1
 	}
-	u := r.Float64()
+	return g.sample(r.Uint64() >> 11)
+}
+
+// sample maps one 53-bit draw to its sample (see Geom).
+func (g *Geom) sample(d uint64) int {
+	if d < g.cut[geomCuts-1] {
+		return g.logPath(d)
+	}
+	// d and every cut are below 2^54, so d-c wraps to a value with its
+	// top bit set exactly when d < c. One term per cut (geomCuts = 8).
+	c := &g.cut
+	return int(1 + (d-c[0])>>63 + (d-c[1])>>63 + (d-c[2])>>63 + (d-c[3])>>63 +
+		(d-c[4])>>63 + (d-c[5])>>63 + (d-c[6])>>63 + (d-c[7])>>63)
+}
+
+// logPath is the inverse-transform sample of the 53-bit draw d.
+func (g *Geom) logPath(d uint64) int {
+	u := float64(d) / (1 << 53)
 	if u == 0 {
 		u = 0x1p-53
 	}
